@@ -6,14 +6,17 @@
 //! one iteration takes ~10 s there. Scenario perturbations follow the paper:
 //! heavy CPU load (×10) on one cluster at t = 200 s, an uplink shaped to
 //! ~100 KB/s, a light load making nodes ~2–3× slower, and two of three
-//! clusters crashing at t = 200 s.
+//! clusters crashing at t = 200 s. Layouts and perturbation schedules live
+//! in the checked-in `scenarios/s*.json` files, the one source both twins
+//! read.
 
 use sagrid_adapt::AdaptPolicy;
 use sagrid_core::config::GridConfig;
 use sagrid_core::ids::ClusterId;
 use sagrid_core::rng::Xoshiro256StarStar;
 use sagrid_core::time::{SimDuration, SimTime};
-use sagrid_core::workload::{barnes_hut_profile, IterativeWorkload, TreeShape};
+use sagrid_core::workload::{IterativeWorkload, TreeShape};
+use sagrid_scenario::ScenarioSpec;
 use sagrid_simgrid::{AdaptMode, SimConfig, StealPolicy, TimingConfig};
 use sagrid_simnet::{Injection, InjectionSchedule, ScheduledInjection};
 
@@ -113,12 +116,6 @@ pub struct Scenario {
     pub seed: u64,
 }
 
-/// Number of nodes per cluster in the paper's configuration.
-pub const NODES_PER_CLUSTER: usize = 12;
-/// The paper's "reasonable" total node count.
-pub const REASONABLE_NODES: usize = 3 * NODES_PER_CLUSTER;
-/// Target iteration duration at the reasonable configuration (seconds).
-pub const TARGET_ITER_SECS: f64 = 10.0;
 /// Iterations per run (the paper's figures span ~30–40 iterations).
 pub const DEFAULT_ITERATIONS: usize = 48;
 /// The shaped uplink bandwidth of scenarios 4 and 5 (bytes/second).
@@ -163,112 +160,27 @@ impl Scenario {
         }
     }
 
-    /// Builds the `SimConfig` for this scenario in the given mode.
+    /// Builds the `SimConfig` for this scenario in the given mode. The six
+    /// paper scenarios are the checked-in `scenarios/s*.json` files (the
+    /// same files `grid-local --scenario-file` drives real processes
+    /// from), with this scenario's length and seed applied.
     pub fn config(&self, mode: AdaptMode) -> SimConfig {
-        if self.id == ScenarioId::MillionNode {
-            return self.million_node_config(mode);
-        }
-        let grid = GridConfig::das2();
-        let policy = AdaptPolicy::default();
-        let timing = TimingConfig::default();
-        let workload = barnes_hut_profile(
-            self.iterations,
-            REASONABLE_NODES,
-            TARGET_ITER_SECS,
-            self.seed,
-        );
-        let three_clusters = vec![
-            (ClusterId(0), NODES_PER_CLUSTER),
-            (ClusterId(1), NODES_PER_CLUSTER),
-            (ClusterId(2), NODES_PER_CLUSTER),
-        ];
-        let disturbance = SimTime::from_secs(DISTURBANCE_AT_SECS);
-        let (initial_layout, injections) = match self.id {
-            // Handled by the early return above; unreachable here.
-            ScenarioId::MillionNode => unreachable!("million-node uses its own config path"),
-            ScenarioId::S1Overhead => (three_clusters, InjectionSchedule::empty()),
-            ScenarioId::S2Expand(sub) => {
-                let layout = match sub {
-                    SubScenario::A => vec![(ClusterId(0), 8)],
-                    SubScenario::B => vec![(ClusterId(0), 8), (ClusterId(1), 8)],
-                    SubScenario::C => vec![(ClusterId(0), 8), (ClusterId(1), 8), (ClusterId(2), 8)],
-                };
-                (layout, InjectionSchedule::empty())
-            }
-            ScenarioId::S3OverloadedCpus => (
-                three_clusters,
-                InjectionSchedule::new(vec![ScheduledInjection {
-                    at: disturbance,
-                    injection: Injection::CpuLoad {
-                        cluster: ClusterId(1),
-                        count: None,
-                        factor: 10.0,
-                    },
-                }]),
-            ),
-            ScenarioId::S4OverloadedLink => (
-                three_clusters,
-                InjectionSchedule::new(vec![ScheduledInjection {
-                    at: SimTime::ZERO,
-                    injection: Injection::UplinkBandwidth {
-                        cluster: ClusterId(2),
-                        bandwidth_bps: SHAPED_UPLINK_BPS,
-                    },
-                }]),
-            ),
-            ScenarioId::S5CpusAndLink => (
-                three_clusters,
-                InjectionSchedule::new(vec![
-                    ScheduledInjection {
-                        at: SimTime::ZERO,
-                        injection: Injection::UplinkBandwidth {
-                            cluster: ClusterId(2),
-                            bandwidth_bps: SHAPED_UPLINK_BPS,
-                        },
-                    },
-                    ScheduledInjection {
-                        at: SimTime::ZERO,
-                        injection: Injection::CpuLoad {
-                            cluster: ClusterId(1),
-                            count: None,
-                            factor: 2.5,
-                        },
-                    },
-                ]),
-            ),
-            ScenarioId::S6Crash => (
-                three_clusters,
-                InjectionSchedule::new(vec![
-                    ScheduledInjection {
-                        at: disturbance,
-                        injection: Injection::CrashCluster {
-                            cluster: ClusterId(1),
-                        },
-                    },
-                    ScheduledInjection {
-                        at: disturbance,
-                        injection: Injection::CrashCluster {
-                            cluster: ClusterId(2),
-                        },
-                    },
-                ]),
-            ),
+        let file = match self.id {
+            ScenarioId::MillionNode => return self.million_node_config(mode),
+            ScenarioId::S1Overhead => include_str!("../../../scenarios/s1.json"),
+            ScenarioId::S2Expand(SubScenario::A) => include_str!("../../../scenarios/s2a.json"),
+            ScenarioId::S2Expand(SubScenario::B) => include_str!("../../../scenarios/s2b.json"),
+            ScenarioId::S2Expand(SubScenario::C) => include_str!("../../../scenarios/s2c.json"),
+            ScenarioId::S3OverloadedCpus => include_str!("../../../scenarios/s3.json"),
+            ScenarioId::S4OverloadedLink => include_str!("../../../scenarios/s4.json"),
+            ScenarioId::S5CpusAndLink => include_str!("../../../scenarios/s5.json"),
+            ScenarioId::S6Crash => include_str!("../../../scenarios/s6.json"),
         };
-        SimConfig {
-            grid,
-            policy,
-            initial_layout,
-            workload,
-            injections,
-            mode,
-            steal_policy: StealPolicy::ClusterAware,
-            timing,
-            record_trace: false,
-            feedback_tuning: false,
-            hierarchical_coordinator: false,
-            queue_backend: Default::default(),
-            seed: self.seed,
-        }
+        let mut spec = ScenarioSpec::parse(file).expect("checked-in paper scenario parses");
+        spec.iterations = self.iterations;
+        spec.seed = self.seed;
+        spec.sim_config(mode)
+            .expect("checked-in paper scenario is a valid configuration")
     }
 
     /// The million-node stress configuration (see [`ScenarioId::MillionNode`]).

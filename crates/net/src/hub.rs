@@ -7,13 +7,12 @@
 //! out-of-process coordinator, relays its grow/shrink decisions, and runs
 //! the heartbeat failure detector.
 //!
-//! Since PR 9 the hub is a single [`Reactor`] loop: one thread owns the
-//! listener, every connection, the frame decoding, the write queues and
-//! the failure-detection timers. Thread count is independent of worker
-//! count (the old transport spent two OS threads per connection), peer-
-//! directory broadcasts are coalesced onto a timer instead of firing per
-//! announce, and membership is keyed through a [`ShardedMap`] so observers
-//! never serialize dispatch on one lock.
+//! The hub is a single [`Reactor`] loop: one thread owns the listener,
+//! every connection, the frame decoding, the write queues, the
+//! failure-detection timers and all hub state (plain maps — nothing here
+//! is shared with another thread). Thread count is independent of worker
+//! count, and peer-directory broadcasts are coalesced onto a timer instead
+//! of firing per announce.
 //!
 //! A deliberately subtle point: an *unexpected connection close is not a
 //! death*. SIGKILL closes the victim's socket immediately, long before any
@@ -22,7 +21,7 @@
 //! lost a TCP connection and will reconnect with backoff). Only the
 //! heartbeat timeout declares a node dead.
 
-use crate::reactor::{Reactor, ReactorEvent, ShardedMap, Token};
+use crate::reactor::{Reactor, ReactorEvent, Token};
 use crate::replica::Takeover;
 use crate::replog::{ControlState, MemberPhase, RepLog, ReplicaOp};
 use crate::wire::{Message, PeerInfo};
@@ -161,13 +160,13 @@ fn replicate(
 /// leaving a worker with a permanently stale view.
 fn broadcast_directory(
     peer_dir: &BTreeMap<NodeId, PeerInfo>,
-    node_conn: &ShardedMap<NodeId, Token>,
+    node_conn: &BTreeMap<NodeId, Token>,
     reactor: &mut Reactor,
 ) {
     let frame = Reactor::encode_frame(&Message::PeerDirectory {
         peers: peer_dir.values().cloned().collect(),
     });
-    for t in node_conn.snapshot().values() {
+    for t in node_conn.values() {
         reactor.send_frame(*t, frame.clone());
     }
 }
@@ -181,7 +180,7 @@ fn broadcast_directory(
 fn flush_directory(
     dir_dirty: &mut bool,
     peer_dir: &BTreeMap<NodeId, PeerInfo>,
-    node_conn: &ShardedMap<NodeId, Token>,
+    node_conn: &BTreeMap<NodeId, Token>,
     reactor: &mut Reactor,
     hub_epoch: u64,
     control: &mut ControlState,
@@ -285,7 +284,7 @@ impl Hub {
         pool.set_metrics(&self.metrics);
 
         let mut roles: BTreeMap<Token, Role> = BTreeMap::new();
-        let node_conn: ShardedMap<NodeId, Token> = ShardedMap::new();
+        let mut node_conn: BTreeMap<NodeId, Token> = BTreeMap::new();
         let mut coordinator: Option<Token> = None;
         let mut launcher: Option<Token> = None;
         let mut pending_spawns: BTreeSet<NodeId> = BTreeSet::new();
@@ -400,7 +399,12 @@ impl Hub {
                             // SIGKILL'd one must be caught by the heartbeat
                             // timeout, not by EOF — see module docs).
                             Role::Worker(node) => {
-                                node_conn.remove_if(&node, |t| *t == id);
+                                // Forget the node's connection only if it
+                                // is still THIS connection (a reconnect may
+                                // already have replaced it).
+                                if node_conn.get(&node) == Some(&id) {
+                                    node_conn.remove(&node);
+                                }
                             }
                             Role::Coordinator => {
                                 if coordinator == Some(id) {
@@ -836,7 +840,7 @@ impl Hub {
                                     membership.signal_leave(node);
                                 }
                                 for node in membership.take_signals() {
-                                    if let Some(t) = node_conn.get(&node) {
+                                    if let Some(&t) = node_conn.get(&node) {
                                         reactor.send(t, &Message::SignalLeave { node });
                                     }
                                 }
@@ -884,7 +888,7 @@ impl Hub {
                             if roles.get(&id) == Some(&Role::Launcher) {
                                 membership.signal_leave(node);
                                 for node in membership.take_signals() {
-                                    if let Some(t) = node_conn.get(&node) {
+                                    if let Some(&t) = node_conn.get(&node) {
                                         reactor.send(t, &Message::SignalLeave { node });
                                     }
                                 }
@@ -900,7 +904,7 @@ impl Hub {
                         } => {
                             if roles.get(&id) == Some(&Role::Launcher) {
                                 let mut sent = 0u32;
-                                for (node, t) in node_conn.snapshot() {
+                                for (&node, &t) in &node_conn {
                                     if pool.cluster_of(node) != cluster {
                                         continue;
                                     }

@@ -38,7 +38,7 @@ pub mod wire;
 pub use backoff::Backoff;
 pub use conn::{ConnId, Connection, NetEvent, NetMetrics};
 pub use hub::{Hub, HubConfig};
-pub use reactor::{FrameDecoder, Reactor, ReactorEvent, ReactorMetrics, ShardedMap, Token, Waker};
+pub use reactor::{FrameDecoder, Reactor, ReactorEvent, ReactorMetrics, Token, Waker};
 pub use replica::{elect_primary, run_standby, HubSet, StandbyConfig, StandbyOutcome, Takeover};
 pub use replog::{ControlSnapshot, ControlState, MemberPhase, RepLog, ReplicaOp};
 pub use steal::{ExportPool, NetStealHook, StealClient, StealMetrics};

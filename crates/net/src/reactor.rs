@@ -4,8 +4,7 @@
 //! The per-connection reader/writer thread pairs of the original transport
 //! cap a hub at a few hundred workers (two OS threads each); the paper's
 //! control plane must absorb grid-scale churn. This module multiplexes
-//! every socket through one `epoll(7)` instance (falling back to `poll(2)`
-//! when `epoll_create1` is unavailable) driven by a single loop:
+//! every socket through one `epoll(7)` instance driven by a single loop:
 //!
 //! * **Readiness registration** — level-triggered read interest on every
 //!   connection, write interest only while its queue is non-empty.
@@ -20,18 +19,18 @@
 //!   driving heartbeat failure detection and coalesced broadcasts.
 //!
 //! Everything is `std` + the C library the process is already linked
-//! against: the `epoll`/`poll` syscalls are declared `extern "C"` below,
+//! against: the `epoll` syscalls (and the one-fd `poll(2)` the farewell
+//! flush waits on) are declared `extern "C"` below,
 //! and non-blocking mode comes from `TcpStream::set_nonblocking`.
 
 use crate::wire::{Message, WireError, MAX_FRAME};
 use sagrid_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Reactor-local identifier of a registered connection (monotonic, never
@@ -49,8 +48,8 @@ const FIRST_CONN_TOKEN: Token = 2;
 const LOOP_LATENCY_BOUNDS_US: &[u64] = &[50, 100, 250, 500, 1_000, 5_000, 25_000, 100_000];
 
 // ---------------------------------------------------------------------------
-// Syscall layer: epoll(7) with a poll(2) fallback, declared against the
-// already-linked C library (the workspace admits no external crates).
+// Syscall layer: epoll(7), declared against the already-linked C library
+// (the workspace admits no external crates).
 // ---------------------------------------------------------------------------
 
 mod sys {
@@ -65,10 +64,7 @@ mod sys {
     pub const EPOLL_CTL_MOD: c_int = 3;
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
 
-    pub const POLLIN: c_short = 0x001;
     pub const POLLOUT: c_short = 0x004;
-    pub const POLLERR: c_short = 0x008;
-    pub const POLLHUP: c_short = 0x010;
 
     /// The kernel ABI packs this struct on x86-64; other architectures use
     /// natural alignment.
@@ -102,62 +98,57 @@ mod sys {
     }
 }
 
-/// Which multiplexing syscall this reactor runs on.
-enum Backend {
-    /// An `epoll` instance fd (closed on drop).
-    Epoll(i32),
-    /// `poll(2)`: the fd array is rebuilt per wait — O(n) per iteration,
-    /// but always available.
-    Poll,
-}
+/// The `epoll` instance fd (closed on drop).
+struct Backend(i32);
 
 impl Backend {
-    fn new() -> Backend {
+    fn new() -> io::Result<Backend> {
         // Safety: epoll_create1 takes a flags int and returns an fd or -1.
         let fd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-        if fd >= 0 {
-            Backend::Epoll(fd)
-        } else {
-            Backend::Poll
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(Backend(fd))
     }
 
-    fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) {
-        if let Backend::Epoll(ep) = self {
-            let mut ev = sys::EpollEvent {
-                events,
-                data: token,
-            };
-            // Safety: ev lives across the call; the kernel copies it.
-            unsafe { sys::epoll_ctl(*ep, op, fd, &mut ev) };
+    fn ctl(&self, op: i32, fd: i32, events: u32, token: u64) -> io::Result<()> {
+        let mut ev = sys::EpollEvent {
+            events,
+            data: token,
+        };
+        // Safety: ev lives across the call; the kernel copies it.
+        if unsafe { sys::epoll_ctl(self.0, op, fd, &mut ev) } < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(())
     }
 
-    fn register(&self, fd: i32, want_write: bool, token: u64) {
-        let events = sys::EPOLLIN | if want_write { sys::EPOLLOUT } else { 0 };
-        self.ctl(sys::EPOLL_CTL_ADD, fd, events, token);
+    /// A failed ADD (EBADF, ENOMEM, ENOSPC past `max_user_watches`) means
+    /// the fd would never be serviced: callers must close it.
+    fn register(&self, fd: i32, token: u64) -> io::Result<()> {
+        self.ctl(sys::EPOLL_CTL_ADD, fd, sys::EPOLLIN, token)
     }
 
+    // MOD and DEL act on an fd this reactor registered and still owns;
+    // they have no failure a caller could act on.
     fn rearm(&self, fd: i32, want_write: bool, token: u64) {
         let events = sys::EPOLLIN | if want_write { sys::EPOLLOUT } else { 0 };
-        self.ctl(sys::EPOLL_CTL_MOD, fd, events, token);
+        let _ = self.ctl(sys::EPOLL_CTL_MOD, fd, events, token);
     }
 
     fn deregister(&self, fd: i32) {
-        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0);
+        let _ = self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0);
     }
 }
 
 impl Drop for Backend {
     fn drop(&mut self) {
-        if let Backend::Epoll(fd) = self {
-            // Safety: fd is an epoll instance we own.
-            unsafe { sys::close(*fd) };
-        }
+        // Safety: the fd is an epoll instance we own.
+        unsafe { sys::close(self.0) };
     }
 }
 
-/// Readiness of one fd, normalised across the two backends.
+/// Readiness of one registered fd.
 #[derive(Clone, Copy)]
 struct Ready {
     token: u64,
@@ -253,6 +244,7 @@ pub struct ReactorMetrics {
     pending_write_bytes: Arc<Gauge>,
     backpressure_drops: Arc<Counter>,
     stalls: Arc<Counter>,
+    register_failures: Arc<Counter>,
     frames_sent: Arc<Counter>,
     frames_received: Arc<Counter>,
     bytes_sent: Arc<Counter>,
@@ -274,6 +266,7 @@ impl ReactorMetrics {
                 .counter("net.reactor.backpressure_drops")
                 .expect("enabled"),
             stalls: m.counter("net.reactor.stalls").expect("enabled"),
+            register_failures: m.counter("net.reactor.register_failures").expect("enabled"),
             frames_sent: m.counter("net.frames_sent").expect("enabled"),
             frames_received: m.counter("net.frames_received").expect("enabled"),
             bytes_sent: m.counter("net.bytes_sent").expect("enabled"),
@@ -376,9 +369,9 @@ impl Reactor {
     }
 
     fn build(listener: Option<TcpListener>, metrics: &Metrics) -> io::Result<Reactor> {
-        let backend = Backend::new();
+        let backend = Backend::new()?;
         if let Some(l) = &listener {
-            backend.register(l.as_raw_fd(), false, LISTENER_TOKEN);
+            backend.register(l.as_raw_fd(), LISTENER_TOKEN)?;
         }
         Ok(Reactor {
             backend,
@@ -425,7 +418,7 @@ impl Reactor {
             let (tx, rx) = UnixStream::pair()?;
             tx.set_nonblocking(true)?;
             rx.set_nonblocking(true)?;
-            self.backend.register(rx.as_raw_fd(), false, WAKER_TOKEN);
+            self.backend.register(rx.as_raw_fd(), WAKER_TOKEN)?;
             self.waker_rx = Some(rx);
             self.waker_tx = Some(Arc::new(tx));
         }
@@ -434,14 +427,20 @@ impl Reactor {
         })
     }
 
-    /// Registers an established stream. The reactor owns it from here on.
+    /// Registers an established stream. The reactor owns it from here on;
+    /// on error the stream is dropped, which closes the connection.
     pub fn register(&mut self, stream: TcpStream) -> io::Result<Token> {
         stream.set_nonblocking(true)?;
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr()?;
         let token = self.next_token;
         self.next_token += 1;
-        self.backend.register(stream.as_raw_fd(), false, token);
+        if let Err(e) = self.backend.register(stream.as_raw_fd(), token) {
+            if let Some(rm) = &self.rm {
+                rm.register_failures.inc();
+            }
+            return Err(e);
+        }
         self.conns.insert(
             token,
             Conn {
@@ -692,74 +691,33 @@ impl Reactor {
         }
     }
 
-    /// Waits on the backend for up to `timeout`, returning normalised
-    /// readiness records.
+    /// Waits on the epoll instance for up to `timeout`.
     fn wait(&mut self, timeout: Duration) -> Vec<Ready> {
         let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-        let mut ready = Vec::new();
-        match &self.backend {
-            Backend::Epoll(ep) => {
-                self.ep_events
-                    .resize(1024, sys::EpollEvent { events: 0, data: 0 });
-                // Safety: the events buffer outlives the call; the kernel
-                // writes at most `maxevents` entries.
-                let n =
-                    unsafe { sys::epoll_wait(*ep, self.ep_events.as_mut_ptr(), 1024, timeout_ms) };
-                for ev in self.ep_events.iter().take(n.max(0) as usize) {
-                    let events = ev.events; // copy out of the packed struct
-                    ready.push(Ready {
-                        token: ev.data,
-                        readable: events & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                        writable: events & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
-                    });
+        self.ep_events
+            .resize(1024, sys::EpollEvent { events: 0, data: 0 });
+        // Safety: the events buffer outlives the call; the kernel writes at
+        // most `maxevents` entries.
+        let n = unsafe {
+            sys::epoll_wait(
+                self.backend.0,
+                self.ep_events.as_mut_ptr(),
+                1024,
+                timeout_ms,
+            )
+        };
+        self.ep_events
+            .iter()
+            .take(n.max(0) as usize)
+            .map(|ev| {
+                let events = ev.events; // copy out of the packed struct
+                Ready {
+                    token: ev.data,
+                    readable: events & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0,
+                    writable: events & (sys::EPOLLOUT | sys::EPOLLERR | sys::EPOLLHUP) != 0,
                 }
-            }
-            Backend::Poll => {
-                let mut fds: Vec<sys::PollFd> = Vec::with_capacity(self.conns.len() + 2);
-                let mut tokens: Vec<u64> = Vec::with_capacity(self.conns.len() + 2);
-                if let Some(l) = &self.listener {
-                    fds.push(sys::PollFd {
-                        fd: l.as_raw_fd(),
-                        events: sys::POLLIN,
-                        revents: 0,
-                    });
-                    tokens.push(LISTENER_TOKEN);
-                }
-                if let Some(rx) = &self.waker_rx {
-                    fds.push(sys::PollFd {
-                        fd: rx.as_raw_fd(),
-                        events: sys::POLLIN,
-                        revents: 0,
-                    });
-                    tokens.push(WAKER_TOKEN);
-                }
-                for (tok, conn) in &self.conns {
-                    fds.push(sys::PollFd {
-                        fd: conn.stream.as_raw_fd(),
-                        events: sys::POLLIN | if conn.want_write { sys::POLLOUT } else { 0 },
-                        revents: 0,
-                    });
-                    tokens.push(*tok);
-                }
-                // Safety: fds is a live slice for the duration of the call.
-                let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
-                if n > 0 {
-                    for (pfd, tok) in fds.iter().zip(&tokens) {
-                        if pfd.revents != 0 {
-                            ready.push(Ready {
-                                token: *tok,
-                                readable: pfd.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP)
-                                    != 0,
-                                writable: pfd.revents
-                                    & (sys::POLLOUT | sys::POLLERR | sys::POLLHUP)
-                                    != 0,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        ready
+            })
+            .collect()
     }
 
     /// One reactor turn: flush dirty write queues, wait for readiness (up
@@ -854,8 +812,7 @@ impl Reactor {
                     if left.is_zero() {
                         return false;
                     }
-                    // Wait for writability on just this fd; poll(2) works
-                    // regardless of backend.
+                    // Wait for writability on just this fd.
                     let mut pfd = [sys::PollFd {
                         fd: c.stream.as_raw_fd(),
                         events: sys::POLLOUT,
@@ -895,97 +852,6 @@ impl Reactor {
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded map
-// ---------------------------------------------------------------------------
-
-const SHARDS: usize = 16;
-
-/// A lock-striped map: keys hash onto [`SHARDS`] independent
-/// `RwLock<BTreeMap>` shards, so readers and writers of different shards
-/// never serialize on one lock. The hub keys its membership (node →
-/// connection token) through this, keeping dispatch contention-free as
-/// observer threads appear.
-pub struct ShardedMap<K, V> {
-    shards: Vec<RwLock<BTreeMap<K, V>>>,
-}
-
-impl<K: Ord + Hash + Clone, V: Clone> Default for ShardedMap<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Ord + Hash + Clone, V: Clone> ShardedMap<K, V> {
-    /// An empty map with [`SHARDS`] shards.
-    pub fn new() -> ShardedMap<K, V> {
-        ShardedMap {
-            shards: (0..SHARDS).map(|_| RwLock::new(BTreeMap::new())).collect(),
-        }
-    }
-
-    fn shard(&self, k: &K) -> &RwLock<BTreeMap<K, V>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        k.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
-    /// Inserts, returning the previous value.
-    pub fn insert(&self, k: K, v: V) -> Option<V> {
-        self.shard(&k).write().expect("shard poisoned").insert(k, v)
-    }
-
-    /// A clone of the value under `k`.
-    pub fn get(&self, k: &K) -> Option<V> {
-        self.shard(k)
-            .read()
-            .expect("shard poisoned")
-            .get(k)
-            .cloned()
-    }
-
-    /// Removes and returns the value under `k`.
-    pub fn remove(&self, k: &K) -> Option<V> {
-        self.shard(k).write().expect("shard poisoned").remove(k)
-    }
-
-    /// Removes `k` only if its current value satisfies `pred` (the hub's
-    /// "forget this node's connection only if it is still THIS connection").
-    pub fn remove_if(&self, k: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
-        let mut shard = self.shard(k).write().expect("shard poisoned");
-        if shard.get(k).is_some_and(pred) {
-            shard.remove(k)
-        } else {
-            None
-        }
-    }
-
-    /// Total entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("shard poisoned").len())
-            .sum()
-    }
-
-    /// Whether the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A key-ordered merged copy — deterministic iteration for broadcasts
-    /// and fan-outs regardless of shard layout.
-    pub fn snapshot(&self) -> BTreeMap<K, V> {
-        let mut all = BTreeMap::new();
-        for s in &self.shards {
-            for (k, v) in s.read().expect("shard poisoned").iter() {
-                all.insert(k.clone(), v.clone());
-            }
-        }
-        all
     }
 }
 
@@ -1228,19 +1094,22 @@ mod tests {
     }
 
     #[test]
-    fn sharded_map_basics_and_ordered_snapshot() {
-        let map: ShardedMap<NodeId, u64> = ShardedMap::new();
-        for i in (0..100u32).rev() {
-            map.insert(NodeId(i), u64::from(i) * 2);
-        }
-        assert_eq!(map.len(), 100);
-        assert_eq!(map.get(&NodeId(40)), Some(80));
-        let snap = map.snapshot();
-        let keys: Vec<u32> = snap.keys().map(|n| n.0).collect();
-        assert_eq!(keys, (0..100).collect::<Vec<_>>(), "snapshot is ordered");
-        assert_eq!(map.remove(&NodeId(40)), Some(80));
-        assert_eq!(map.remove_if(&NodeId(41), |v| *v == 999), None);
-        assert_eq!(map.remove_if(&NodeId(41), |v| *v == 82), Some(82));
-        assert_eq!(map.len(), 98);
+    fn failed_epoll_add_closes_the_connection_and_is_counted() {
+        let m = Metrics::enabled();
+        let mut reactor = Reactor::new(&m).unwrap();
+        // Swap in a closed (invalid) epoll fd: every ADD now fails EBADF,
+        // exactly as it would on ENOMEM/ENOSPC.
+        reactor.backend = Backend(-1);
+        assert!(reactor.backend.register(-1, 7).is_err());
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        assert!(reactor.register(server_side).is_err());
+        assert_eq!(reactor.open_connections(), 0, "no unserviced conn kept");
+        assert_eq!(m.report().counter("net.reactor.register_failures"), 1);
+        // The stream was dropped, so the peer sees EOF instead of silence.
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(peer.read(&mut [0u8; 8]).unwrap(), 0);
     }
 }

@@ -1,30 +1,118 @@
-//! End-to-end process-mode test: `grid-local` spawns a real hub, a real
-//! coordinator daemon and real worker processes over loopback TCP, injects
-//! a SIGKILL crash, and verifies detection, blacklisting and the emitted
-//! decision-provenance stream. This is the crash scenario kept short; the
-//! full paper scenario (slow-worker removal) runs in ci.sh.
+//! End-to-end process-mode tests: `grid-local` spawns a real hub, a real
+//! coordinator daemon and real worker processes over loopback TCP, drives
+//! them from checked-in scenario files (or one of its scripted scenarios)
+//! and judges the run; these tests assert the launcher's exit code and the
+//! artifacts it leaves.
 
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::{Mutex, MutexGuard};
+
+/// One grid at a time: each run is a dozen busy processes whose verdicts
+/// rest on relative benchmark timings, so two grids sharing the cores of a
+/// small CI box would perturb exactly what the other one measures.
+fn one_grid_at_a_time() -> MutexGuard<'static, ()> {
+    static GRID: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the next grid may still run.
+    GRID.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn temp_out(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("grid_local_{name}_{}", std::process::id()))
+}
+
+/// Runs `grid-local --scenario-file scenarios/<file> --out <out>`.
+fn run_scenario_file(file: &str, out: &Path) -> Output {
+    let scenario = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+    Command::new(env!("CARGO_BIN_EXE_grid-local"))
+        .args(["--scenario-file", &scenario, "--out"])
+        .arg(out)
+        .output()
+        .expect("launch grid-local")
+}
+
+/// `CHECK ok:` lines of a run, for asserting that a post-condition was
+/// actually evaluated (they are conditional on what the scenario did).
+fn assert_checked(output: &Output, checks: &[&str]) {
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "grid-local failed:\n{stdout}"
+    );
+    for check in checks {
+        assert!(
+            stdout.contains(&format!("CHECK ok: {check}")),
+            "missing `CHECK ok: {check}` in:\n{stdout}"
+        );
+    }
+}
+
+/// The paper's crashed-node case from its scenario file: one worker is
+/// SIGKILLed; the hub must report it dead by heartbeat timeout, refuse a
+/// rejoin under its id, and the coordinator must end with it blacklisted.
 #[test]
 fn grid_local_crash_scenario_passes() {
-    let out = std::env::temp_dir().join(format!("grid_local_test_{}", std::process::id()));
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_grid-local"))
-        .args([
-            "--workers",
-            "3",
-            "--scenario",
-            "crash",
-            "--duration-ms",
-            "5000",
-            "--out",
-            out.to_str().expect("utf8 temp path"),
-        ])
-        .status()
-        .expect("launch grid-local");
-    assert!(status.success(), "grid-local exited with {status}");
+    let _grid = one_grid_at_a_time();
+    let out = temp_out("node_crash");
+    let output = run_scenario_file("node_crash.json", &out);
+    assert_checked(
+        &output,
+        &[
+            "hub detected the SIGKILLed worker via heartbeat timeout",
+            "rejoin attempt under the blacklisted node id was refused",
+            "crashed node is blacklisted in the final decision entry",
+        ],
+    );
     // The hub and coordinator both wrote their JSONL metric streams.
     assert!(out.join("run_hub.jsonl").exists());
     assert!(out.join("run_coordinatord.jsonl").exists());
     std::fs::remove_dir_all(&out).ok();
+}
+
+/// The paper's overloaded-processor case from its scenario file: one of
+/// three workers is slowed tenfold at t = 0; the badness ranking must
+/// single it out and the coordinator remove it.
+#[test]
+fn grid_local_slow_node_scenario_passes() {
+    let _grid = one_grid_at_a_time();
+    let out = temp_out("slow_node");
+    let output = run_scenario_file("slow_node.json", &out);
+    assert_checked(
+        &output,
+        &[
+            "badness ranking removed the slow worker (remove-nodes decision)",
+            "slow worker ranked worst in the removal's badness provenance",
+        ],
+    );
+    std::fs::remove_dir_all(&out).ok();
+}
+
+/// The scenario names and the flag this launcher used to have are usage
+/// errors now: exit 2 with the usage line, before anything is spawned.
+#[test]
+fn grid_local_removed_names_are_usage_errors() {
+    for args in [
+        &["--scenario", "crash"][..],
+        &["--scenario", "full"],
+        &["--scenario", "hub-crash", "--kill-index", "1"],
+        &[],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_grid-local"))
+            .args(args)
+            .output()
+            .expect("launch grid-local");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: grid-local"),
+            "{args:?}: no usage line in {stderr}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&output.stdout).contains("spawned"),
+            "{args:?} spawned children before rejecting the arguments"
+        );
+    }
 }
 
 /// The checked-in paper scenario 3 (overloaded CPUs) drives real worker
@@ -32,19 +120,11 @@ fn grid_local_crash_scenario_passes() {
 /// stream satisfies the adaptation invariants: exit code 0.
 #[test]
 fn grid_local_scenario_file_s3_passes() {
-    let out = std::env::temp_dir().join(format!("grid_local_s3_test_{}", std::process::id()));
-    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/s3.json");
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_grid-local"))
-        .args([
-            "--scenario-file",
-            scenario,
-            "--out",
-            out.to_str().expect("utf8 temp path"),
-        ])
-        .status()
-        .expect("launch grid-local");
+    let _grid = one_grid_at_a_time();
+    let out = temp_out("s3");
+    let output = run_scenario_file("s3.json", &out);
     assert_eq!(
-        status.code(),
+        output.status.code(),
         Some(0),
         "scenario-file run should pass every invariant check"
     );
@@ -74,7 +154,8 @@ fn process_gone(pid: u32) -> bool {
 /// tell "the adaptation broke" from "the host was too slow".
 #[test]
 fn grid_local_scenario_file_exit_codes_distinguish_failure_classes() {
-    let out = std::env::temp_dir().join(format!("grid_local_exit_test_{}", std::process::id()));
+    let _grid = one_grid_at_a_time();
+    let out = temp_out("exit_test");
     let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/s3.json");
 
     // A 1 ms join timeout can never see the hub come up: timeout, exit 4.
@@ -163,7 +244,8 @@ fn grid_local_scenario_file_exit_codes_distinguish_failure_classes() {
 
 #[test]
 fn grid_local_steal_scenario_passes() {
-    let out = std::env::temp_dir().join(format!("grid_local_steal_test_{}", std::process::id()));
+    let _grid = one_grid_at_a_time();
+    let out = temp_out("steal");
     // The scenario itself asserts the interesting facts (root result
     // correct, remote steals observed, measured inter-cluster time > 0)
     // and exits non-zero if any check fails; the duration is a deadline,

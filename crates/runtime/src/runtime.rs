@@ -384,6 +384,36 @@ mod tests {
     }
 
     #[test]
+    fn speed_penalty_does_not_compound_through_nested_joins() {
+        // fib(16) joins ~16 levels deep. A 0.25-speed worker must take ~4x
+        // as long as a full-speed one; padding the inclusive time of every
+        // level took 4^depth and never finished.
+        let timed = |speed: f64| {
+            let rt = Runtime::new(RuntimeConfig::single_cluster(1));
+            rt.set_worker_speed(0, speed);
+            let _ = rt.run(|ctx| fib(ctx, 12)); // warm the thread up
+            let _ = rt.take_monitoring_reports();
+            let start = Instant::now();
+            assert_eq!(rt.run(|ctx| fib(ctx, 16)), 987);
+            let wall = start.elapsed();
+            let busy = rt.take_monitoring_reports()[0].0.breakdown.busy;
+            rt.shutdown();
+            (wall, busy)
+        };
+        let (fast, fast_busy) = timed(1.0);
+        let (slow, _) = timed(0.25);
+        assert!(
+            slow < fast.mul_f64(40.0) + Duration::from_millis(50),
+            "0.25-speed run took {slow:?} against {fast:?} at full speed"
+        );
+        // Each task's time is charged once, not once per enclosing join.
+        assert!(
+            fast_busy.0 <= fast.as_micros() as u64 * 5 / 4 + 1_000,
+            "busy {fast_busy:?} exceeds the {fast:?} the run took"
+        );
+    }
+
+    #[test]
     fn benchmark_reflects_speed_knob() {
         let rt = Runtime::new(RuntimeConfig::single_cluster(2));
         let fast = rt.benchmark_worker(0).expect("fast benchmark");

@@ -6,7 +6,7 @@ use crate::deque::{Injector, Stealer, Worker as Deque};
 use crate::job::Task;
 use sagrid_core::metrics::{Counter, Gauge, Metrics};
 use sagrid_core::rng::{Rng64, SplitMix64};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -167,6 +167,9 @@ pub struct WorkerCtx<'a> {
     me: usize,
     local: &'a Deque<Arc<dyn Task>>,
     rng: RefCell<SplitMix64>,
+    /// Wall time of the tasks the currently executing task ran inline
+    /// (helping while it joins) — see [`WorkerCtx::execute_timed`].
+    inlined: Cell<Duration>,
 }
 
 impl<'a> WorkerCtx<'a> {
@@ -176,6 +179,7 @@ impl<'a> WorkerCtx<'a> {
             me,
             local,
             rng: RefCell::new(SplitMix64::new(0x5EED ^ (me as u64).wrapping_mul(0x9E37))),
+            inlined: Cell::new(Duration::ZERO),
         }
     }
 
@@ -248,27 +252,35 @@ impl<'a> WorkerCtx<'a> {
     }
 
     fn execute_timed(&self, task: Arc<dyn Task>) {
+        // A joining task helps by running other tasks inline, each through
+        // its own nested call here. Only the task's *own* time is charged
+        // and padded: charging the inclusive time would count every nested
+        // task once per level above it and compound the speed penalty to
+        // (1/s)^depth — a 0.1-speed worker never came back from one
+        // fib(22) to read its control channel.
+        let outer = self.inlined.replace(Duration::ZERO);
         let start = Instant::now();
         task.execute(self);
-        let busy = start.elapsed();
+        let own = start.elapsed().saturating_sub(self.inlined.get());
         let workers = self.shared.workers.read().expect("workers poisoned");
         let me = &workers[self.me];
         // Speed emulation: a worker at speed s pads every t of work with
         // t·(1/s − 1) of spin, exactly like background load on a
         // time-shared grid node.
         let speed = me.speed();
-        if speed < 1.0 {
-            let penalty = busy.mul_f64(1.0 / speed - 1.0);
-            spin_for(penalty);
-            me.stats
-                .busy_ns
-                .fetch_add((busy + penalty).as_nanos() as u64, Ordering::Relaxed);
+        let penalty = if speed < 1.0 {
+            own.mul_f64(1.0 / speed - 1.0)
         } else {
-            me.stats
-                .busy_ns
-                .fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+            Duration::ZERO
+        };
+        if !penalty.is_zero() {
+            spin_for(penalty);
         }
+        me.stats
+            .busy_ns
+            .fetch_add((own + penalty).as_nanos() as u64, Ordering::Relaxed);
         me.stats.tasks_executed.fetch_add(1, Ordering::Relaxed);
+        self.inlined.set(outer + start.elapsed());
     }
 
     /// Work-finding: own deque (LIFO), then the global queue, then

@@ -64,17 +64,29 @@ echo "== experiments smoke (parallel == serial) =="
 diff target/ci_serial.txt target/ci_parallel.txt
 echo "parallel output is byte-identical to serial"
 
-echo "== process-mode smoke (hub + 4 workers + coordinatord on loopback) =="
-# Bounded end-to-end run of the paper's crash scenario over real sockets:
-# grid-local spawns the hub, four workers and the out-of-process
-# coordinator, SIGKILLs one worker, and asserts the registry reports the
-# crash (heartbeat timeout, not socket close), the blacklisted id never
-# rejoins, and every child is reaped — no orphans. The hard timeout keeps
-# a wedged run from hanging the gate.
-rm -rf target/ci_grid_local
-timeout 55 ./target/release/grid-local --workers 4 --scenario crash \
-    --duration-ms 6000 --out target/ci_grid_local
-./target/release/validate_metrics target/ci_grid_local
+echo "== process-mode smoke (crashed node + overloaded processor, one file drives both twins) =="
+# The paper's crashed-node and overloaded-processor cases, each from one
+# checked-in scenario file: through the DES, then over real sockets, where
+# grid-local spawns the hub, three workers and the out-of-process
+# coordinator and applies the same events (a SIGKILL; a tenfold CPU load
+# on one worker). Beyond the JSONL invariants the launcher asserts what
+# only it can see: the hub reports the crash (heartbeat timeout, not
+# socket close), the blacklisted id never rejoins, the slowed worker heads
+# the removal's badness ranking, and every child is reaped — no orphans.
+# Those post-conditions are conditional on what the run did, so the gate
+# also requires that they were evaluated. The hard timeout keeps a wedged
+# run from hanging the gate.
+for f in node_crash slow_node; do
+    ./target/release/experiments --scenario "scenarios/$f.json"
+    rm -rf "target/ci_grid_$f"
+    timeout 55 ./target/release/grid-local --scenario-file "scenarios/$f.json" \
+        --out "target/ci_grid_$f" | tee "target/ci_grid_$f.log"
+    ./target/release/validate_metrics "target/ci_grid_$f"
+done
+grep -q "CHECK ok: crashed node is blacklisted in the final decision entry" \
+    target/ci_grid_node_crash.log
+grep -q "CHECK ok: slow worker ranked worst in the removal's badness provenance" \
+    target/ci_grid_slow_node.log
 
 echo "== steal smoke (work migrates between processes over the wire) =="
 # Bounded run of the wire-level work-stealing scenario: a slow root worker
@@ -188,5 +200,18 @@ echo "== mass-crash regression (hold-fire inside the detection window) =="
 rm -rf target/ci_mass_crash
 timeout 90 ./target/release/grid-local --scenario-file scenarios/mass_crash.json \
     --min-decisions 3 --out target/ci_mass_crash
+
+echo "== benchmark correctness (pinned event counts and decision hashes) =="
+# The hub and reactor sit on a path only the benchmark's lock-step
+# generator checks frame by frame: each workload pins its DES event count
+# and decision hash in benchmark/workloads/*.expect and verifies them in
+# the same command that times it. Three seconds is the shortest run; no
+# timing is compared here.
+for w in paper36 wide_steady wide_churn bulk_wan; do
+    bash benchmark/run.sh --workload "$w" --seed 1 --seconds 3 --trace 0 \
+        | tail -n 1 > "target/ci_bench_$w.json"
+    grep -q '"correct":true' "target/ci_bench_$w.json"
+    echo "  $w: correct"
+done
 
 echo "CI OK"

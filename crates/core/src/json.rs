@@ -219,11 +219,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one whole UTF-8 scalar.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf8")?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Neither byte occurs inside a multi-byte scalar, so the run
+                // ends on a scalar boundary, and validating only the run
+                // keeps the parse linear in the input.
+                let run = &bytes[*pos..];
+                let len = run
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .unwrap_or(run.len());
+                out.push_str(std::str::from_utf8(&run[..len]).map_err(|_| "bad utf8")?);
+                *pos += len;
             }
         }
     }
@@ -328,6 +334,83 @@ mod tests {
         write_json_string(&mut out, nasty);
         let back = parse_json(&out).unwrap();
         assert_eq!(back.as_str(), Some(nasty));
+    }
+
+    /// One ≥ 100 KB line (a decision record's member list is one such) and
+    /// the same line ten times as long: linear parsing takes about ten
+    /// times as long, where validating the rest of the input per character
+    /// took a hundred. Best of five each, to shrug off a descheduled run.
+    #[test]
+    fn long_single_line_documents_parse_in_linear_time() {
+        let doc = |members: usize| {
+            let mut out = String::from("{\"members\":[");
+            for i in 0..members {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"node\":\"n");
+                let _ = write!(out, "{i}");
+                out.push_str("-π\",\"note\":\"plain ascii text of a typical length\"}");
+            }
+            out.push_str("]}");
+            out
+        };
+        let best_of_five = |text: &str, members: usize| {
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let v = parse_json(std::hint::black_box(text)).unwrap();
+                    let elapsed = t.elapsed();
+                    let arr = v.get("members").and_then(JsonValue::as_arr).unwrap();
+                    assert_eq!(arr.len(), members);
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (doc(2_000), doc(20_000));
+        assert!(small.len() >= 100_000 && !small.contains('\n'));
+        let (t_small, t_large) = (best_of_five(&small, 2_000), best_of_five(&large, 20_000));
+        assert!(
+            t_large < t_small * 20,
+            "10x the input took {t_large:?} against {t_small:?}"
+        );
+    }
+
+    #[test]
+    fn multi_byte_scalars_parse_anywhere_in_a_string() {
+        for s in ["π", "aπ", "πa", "€", "x€", "𝄞", "a𝄞", "𝄞\\\"€", "é\\né"] {
+            let mut out = String::new();
+            write_json_string(&mut out, s);
+            assert_eq!(parse_json(&out).unwrap().as_str(), Some(s), "{out}");
+        }
+        // Raw (unescaped) multi-byte text straight before the closing quote
+        // and straight before an escape.
+        assert_eq!(parse_json("\"a𝄞\"").unwrap().as_str(), Some("a𝄞"));
+        assert_eq!(parse_json("\"€\\t€\"").unwrap().as_str(), Some("€\t€"));
+    }
+
+    /// `parse_json` takes a `&str`, so only the byte-level parser can be
+    /// handed malformed UTF-8; it must refuse it, not pass it on.
+    #[test]
+    fn truncated_and_invalid_utf8_in_a_string_is_rejected() {
+        let cases: [&[u8]; 6] = [
+            b"\"\xCF\"",              // 2-byte lead, continuation missing
+            b"\"a\xE2\x82\"",         // 3-byte scalar cut before the quote
+            b"\"\xF0\x9D\x84",        // 4-byte scalar cut by the end of input
+            b"\"\x80\"",              // lone continuation byte
+            b"\"\xC0\xAF\"",          // overlong encoding
+            b"\"ok\\n\xED\xA0\x80\"", // surrogate, after an escape
+        ];
+        for bad in cases {
+            assert!(parse_string(bad, &mut 0).is_err(), "{bad:?} should fail");
+        }
+        let mut pos = 0;
+        assert_eq!(
+            parse_string("\"aπ\" tail".as_bytes(), &mut pos).unwrap(),
+            "aπ"
+        );
+        assert_eq!(pos, 5);
     }
 
     #[test]

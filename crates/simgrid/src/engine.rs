@@ -27,7 +27,7 @@ use sagrid_core::time::{SimDuration, SimTime};
 use sagrid_core::workload::TaskTree;
 use sagrid_registry::{Membership, RegistryConfig};
 use sagrid_sched::{AllocPolicy, NodeGrant, Requirements, ResourcePool};
-use sagrid_simnet::{EventQueue, Injection, Network, QueueBackend};
+use sagrid_simnet::{EventQueue, Injection, Network};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -388,13 +388,7 @@ impl GridSim {
             peer_cache_hits: 0,
             metrics,
             em,
-            queue: EventQueue::with_backend(cfg.queue_backend.unwrap_or({
-                if total >= crate::config::AUTO_WHEEL_NODES {
-                    QueueBackend::Wheel
-                } else {
-                    QueueBackend::Heap
-                }
-            })),
+            queue: EventQueue::with_backend(cfg.queue_backend.unwrap_or_default()),
             cfg,
         })
     }
@@ -1468,13 +1462,15 @@ impl GridSim {
         if self.cfg.mode.adapts() {
             let fastest_available = self.fastest_free_speed();
             // Snapshot per-node (speed, ic) so a removal decision can be
-            // classified for the feedback tuner.
-            let snapshot: std::collections::BTreeMap<NodeId, (f64, f64)> = self
-                .coordinator
-                .main()
-                .latest_reports()
-                .map(|r| (r.node, (r.speed, r.ic_overhead_fraction())))
-                .collect();
+            // classified for the feedback tuner (its only reader).
+            let snapshot: Option<std::collections::BTreeMap<NodeId, (f64, f64)>> =
+                self.tuner.is_some().then(|| {
+                    self.coordinator
+                        .main()
+                        .latest_reports()
+                        .map(|r| (r.node, (r.speed, r.ic_overhead_fraction())))
+                        .collect()
+                });
             let decision = self.coordinator.evaluate(now, fastest_available);
             if let Some(em) = &self.em {
                 em.decisions.inc();
@@ -1488,29 +1484,26 @@ impl GridSim {
                     self.metrics.emit(crate::provenance::decision_event(entry));
                 }
             }
-            if self.tuner.is_some() {
-                if let Decision::RemoveNodes { nodes } = &decision {
-                    // Majority dominant term over the removed set.
-                    let mut ic_votes = 0usize;
-                    let mut total = 0usize;
-                    for n in nodes {
-                        if let Some(&(speed, ic)) = snapshot.get(n) {
-                            total += 1;
-                            if dominant_term(&self.coefficients, speed, ic)
-                                == DominantTerm::IcOverhead
-                            {
-                                ic_votes += 1;
-                            }
+            if let (Some(snapshot), Decision::RemoveNodes { nodes }) = (&snapshot, &decision) {
+                // Majority dominant term over the removed set.
+                let mut ic_votes = 0usize;
+                let mut total = 0usize;
+                for n in nodes {
+                    if let Some(&(speed, ic)) = snapshot.get(n) {
+                        total += 1;
+                        if dominant_term(&self.coefficients, speed, ic) == DominantTerm::IcOverhead
+                        {
+                            ic_votes += 1;
                         }
                     }
-                    if total > 0 {
-                        let dominant = if ic_votes * 2 >= total {
-                            DominantTerm::IcOverhead
-                        } else {
-                            DominantTerm::Speed
-                        };
-                        self.pending_feedback = Some((dominant, eff));
-                    }
+                }
+                if total > 0 {
+                    let dominant = if ic_votes * 2 >= total {
+                        DominantTerm::IcOverhead
+                    } else {
+                        DominantTerm::Speed
+                    };
+                    self.pending_feedback = Some((dominant, eff));
                 }
             }
             self.apply_decision(now, decision);

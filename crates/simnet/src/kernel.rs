@@ -15,250 +15,327 @@
 //! Two implementations share the `(time, seq)` contract and pop *identical*
 //! sequences for identical push sequences:
 //!
-//! * [`QueueBackend::Wheel`] (default) — a hierarchical timer wheel:
-//!   [`LEVELS`] levels of [`SLOTS`] slots each, 1 µs ticks, per-level
-//!   occupancy bitmaps, and per-slot FIFO buckets. Insert and pop are O(1)
-//!   amortized. Slots are indexed by the bits of the event's absolute
-//!   timestamp, and the level is the position of the highest bit in
-//!   `at XOR cursor` (the wheel's internal clock), so slot order within a
-//!   level *is* time order and no modulo wrap-around ambiguity exists.
-//!   Buckets store `(timestamp, payload)` pairs inline — the engine's slimmed
-//!   event enum is small enough that moving it through a cascade beats the
-//!   extra indirection of a payload slab (both were measured). Events beyond
-//!   the wheel horizon (`at - now >= 2^36` µs, ≈ 19 hours) go to a spill-over
-//!   binary heap ordered by `(at, seq)` and re-enter the wheel when the
-//!   cursor reaches their 2^36 µs block.
-//! * [`QueueBackend::Heap`] — the original `BinaryHeap<ScheduledEvent>`;
-//!   O(log n), kept as the oracle for equivalence tests and as a fallback.
+//! * [`QueueBackend::Wheel`] — the production queue: a two-tier timer wheel
+//!   with 1 µs ticks. Level 0 is 4,096 (`L0_SLOTS`) one-µs slots, wide
+//!   enough that an event one LAN hop ahead is filed once and popped where
+//!   it was filed; its first occupied slot is found through a two-level
+//!   bitmap (64 words and one summary word, two `trailing_zeros`). Above it,
+//!   four (`UPPER_LEVELS`) levels of 64 slots each carry the horizon to
+//!   2^36 µs. Every slot is an intrusive FIFO list (`head`, `tail`) over
+//!   one slab of entries with a free list, so a cascade relinks indices
+//!   instead of moving payloads and a run reuses one allocation. Slots are
+//!   indexed by the bits of the event's absolute timestamp, and the level is
+//!   the position of the highest bit in `at XOR cursor` (the wheel's
+//!   internal clock), so slot order within a level *is* time order and no
+//!   modulo wrap-around ambiguity exists. Events beyond the wheel horizon
+//!   (`at - now >= 2^36` µs, ≈ 19 hours) go to a spill-over binary heap
+//!   ordered by `(at, seq)` and re-enter the wheel when the cursor reaches
+//!   their 2^36 µs block.
+//! * [`QueueBackend::Heap`] — a `BinaryHeap` ordered by `(at, seq)`;
+//!   O(log n), kept as the oracle the wheel is tested against.
 //!
-//! Why the pop order is identical: while the cursor is at `C`, all events
-//! with the same timestamp map to the same `(level, slot)` (a pure function
-//! of `at` and `C`), so they sit adjacently in one FIFO bucket in push
-//! (= seq) order; cascades drain buckets front-to-back, preserving that
-//! adjacency; and a level-0 slot holds exactly one timestamp (two distinct
-//! times with equal low six bits differ somewhere above bit 5, which would
-//! put at least one of them on a higher level). All events on level `k` are
-//! strictly earlier than all events on level `k+1`, and occupied slot index
-//! order within a level is time order, so "first slot of the lowest
+//! Why the pop order is identical: an event's `(level, slot)` is a pure
+//! function of `at` and the cursor `C`, and it does not change while the
+//! event waits — popping at level 0 moves only `C`'s low twelve bits, which
+//! no placement depends on, and a cascade of level `k` happens only when
+//! every lower level is empty and changes `C` only at level `k` and below.
+//! So all events with one timestamp sit in one list in push (= seq) order;
+//! a cascade walks a list head to tail and appends, which keeps that order.
+//! All level-0 entries share `at >> 12` with the cursor, so a level-0 slot
+//! holds exactly one timestamp and slot order is time order. All events on
+//! one level are strictly earlier than all events on the next, and occupied
+//! slot order within a level is time order, so "first slot of the lowest
 //! non-empty level" always yields the global minimum.
 
 use sagrid_core::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// Number of slot-index bits per wheel level (64 slots per level).
-const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `k` spans `2^(6(k+1))` µs of future.
-const LEVELS: usize = 6;
+/// Slot-index bits of level 0: 4,096 one-µs slots, one LAN hop of future.
+const L0_BITS: u32 = 12;
+/// Slots on level 0.
+const L0_SLOTS: usize = 1 << L0_BITS;
+/// Words in level 0's occupancy bitmap (one summary word covers them).
+const L0_WORDS: usize = L0_SLOTS / 64;
+/// Slot-index bits per upper level (64 slots, one bitmap word).
+const UPPER_BITS: u32 = 6;
+/// Slots per upper level.
+const UPPER_SLOTS: usize = 1 << UPPER_BITS;
+/// Upper levels. Upper level `k` spans `2^(12 + 6(k+1))` µs of future.
+const UPPER_LEVELS: usize = 4;
 /// Events further than `2^HORIZON_BITS` µs ahead spill to the overflow heap.
-const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
+const HORIZON_BITS: u32 = L0_BITS + UPPER_BITS * UPPER_LEVELS as u32;
+/// "No entry": ends a slot's list and the free list.
+const NIL: u32 = u32::MAX;
 
 /// Which future-event-list implementation an [`EventQueue`] uses.
 ///
 /// Both backends implement the same `(time, seq)` total order and are
-/// observationally identical; `Wheel` is the fast default, `Heap` is the
+/// observationally identical; `Wheel` is the production queue, `Heap` is the
 /// reference implementation kept for equivalence testing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// Hierarchical timer wheel, O(1) amortized (default).
+    /// Two-tier timer wheel, O(1) amortized (default).
     #[default]
     Wheel,
     /// Binary min-heap oracle, O(log n).
     Heap,
 }
 
-/// An event plus its scheduled execution time.
-#[derive(Clone, Debug)]
-pub struct ScheduledEvent<E> {
-    /// When the event fires.
-    pub at: SimTime,
-    /// Tie-breaking sequence number (unique per queue).
-    pub seq: u64,
-    /// The engine-defined payload.
-    pub event: E,
+/// An event ordered by `(at, seq)`: an element of the heap oracle and of
+/// the wheel's spill-over heap.
+///
+/// The spill-over heap needs `seq` so that draining a 2^36 µs block back
+/// into the wheel re-inserts equal-timestamp events in push order (the
+/// wheel's FIFO lists then preserve it).
+#[derive(Debug)]
+struct Scheduled<E> {
+    at: u64,
+    seq: u64,
+    event: E,
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<E> Eq for ScheduledEvent<E> {}
+impl<E> Eq for Scheduled<E> {}
 
-impl<E> PartialOrd for ScheduledEvent<E> {
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for ScheduledEvent<E> {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; reverse to pop the earliest event first.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
-/// A beyond-horizon event waiting in the spill-over heap.
-///
-/// Carries `seq` so that draining a 2^36 µs block back into the wheel
-/// re-inserts equal-timestamp events in push order (the wheel's FIFO
-/// buckets then preserve it).
-#[derive(Clone, Debug)]
-struct Spilled<E> {
+/// One slab cell: a pending event linked into its slot's list, or a free
+/// cell (`event` is `None`) linked into the free list.
+#[derive(Debug)]
+struct Entry<E> {
     at: u64,
-    seq: u64,
-    event: E,
+    next: u32,
+    event: Option<E>,
 }
 
-impl<E> PartialEq for Spilled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Spilled<E> {}
-impl<E> PartialOrd for Spilled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Spilled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap pops the earliest (at, seq) first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
+/// A slot's FIFO list of slab indices; both [`NIL`] when empty.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
-/// Hierarchical timer wheel state (see module docs for the invariants).
+const EMPTY_SLOT: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
+
+/// Two-tier timer wheel state (see module docs for the invariants).
 #[derive(Debug)]
 struct Wheel<E> {
-    /// `LEVELS * SLOTS` FIFO buckets; bucket `level * SLOTS + slot`.
-    buckets: Box<[VecDeque<(u64, E)>]>,
-    /// Per-level slot-occupancy bitmaps (bit `s` set ⇔ bucket non-empty).
-    occupied: [u64; LEVELS],
+    /// Every pending within-horizon event, plus the cells on the free list.
+    entries: Vec<Entry<E>>,
+    /// Head of the free list through `Entry::next`.
+    free: u32,
+    /// Level 0's slots, then each upper level's.
+    slots: Box<[Slot]>,
+    /// Level-0 occupancy (bit `s % 64` of word `s / 64` set ⇔ slot `s`
+    /// non-empty) and its summary (bit `w` set ⇔ word `w` non-zero).
+    l0_words: [u64; L0_WORDS],
+    l0_summary: u64,
+    /// Per-upper-level slot occupancy.
+    upper: [u64; UPPER_LEVELS],
     /// Internal wheel clock; equals the queue's `now` between pops (cascades
     /// advance it to slot starts mid-pop, never past the next event).
     cursor: u64,
     /// Beyond-horizon events, earliest `(at, seq)` first.
-    overflow: BinaryHeap<Spilled<E>>,
+    overflow: BinaryHeap<Scheduled<E>>,
 }
 
 impl<E> Wheel<E> {
     fn new() -> Self {
         Self {
-            buckets: (0..LEVELS * SLOTS).map(|_| VecDeque::new()).collect(),
-            occupied: [0; LEVELS],
+            entries: Vec::new(),
+            free: NIL,
+            slots: vec![EMPTY_SLOT; L0_SLOTS + UPPER_LEVELS * UPPER_SLOTS].into(),
+            l0_words: [0; L0_WORDS],
+            l0_summary: 0,
+            upper: [0; UPPER_LEVELS],
             cursor: 0,
             overflow: BinaryHeap::new(),
         }
     }
 
-    /// Files a within-horizon event into its `(level, slot)` bucket.
+    /// Stores a within-horizon event in a slab cell (a free one if there
+    /// is any) and files it.
     #[inline]
-    fn file(&mut self, at: u64, event: E) {
+    fn insert(&mut self, at: u64, event: E) {
+        let mut idx = self.free;
+        if idx != NIL {
+            let e = &mut self.entries[idx as usize];
+            self.free = e.next;
+            e.at = at;
+            e.event = Some(event);
+        } else {
+            idx = u32::try_from(self.entries.len())
+                .ok()
+                .filter(|&idx| idx != NIL)
+                .expect("fewer than 2^32 - 1 pending events");
+            self.entries.push(Entry {
+                at,
+                next: NIL,
+                event: Some(event),
+            });
+        }
+        self.file(idx);
+    }
+
+    /// Appends cell `idx` to the list of the `(level, slot)` its timestamp
+    /// maps to under the current cursor.
+    #[inline]
+    fn file(&mut self, idx: u32) {
+        let e = &mut self.entries[idx as usize];
+        e.next = NIL;
+        let at = e.at;
         debug_assert!(at >= self.cursor);
         let x = at ^ self.cursor;
         debug_assert!(x >> HORIZON_BITS == 0);
-        let (level, slot) = if x == 0 {
-            (0, (at & (SLOTS as u64 - 1)) as usize)
+        let slot = if x >> L0_BITS == 0 {
+            let slot = (at & (L0_SLOTS as u64 - 1)) as usize;
+            self.l0_words[slot / 64] |= 1u64 << (slot % 64);
+            self.l0_summary |= 1u64 << (slot / 64);
+            slot
         } else {
-            let level = ((63 - x.leading_zeros()) / SLOT_BITS) as usize;
-            let slot = ((at >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-            (level, slot)
+            let level = ((63 - x.leading_zeros() - L0_BITS) / UPPER_BITS) as usize;
+            let shift = L0_BITS + UPPER_BITS * level as u32;
+            let slot = ((at >> shift) & (UPPER_SLOTS as u64 - 1)) as usize;
+            self.upper[level] |= 1u64 << slot;
+            L0_SLOTS + level * UPPER_SLOTS + slot
         };
-        self.buckets[level * SLOTS + slot].push_back((at, event));
-        self.occupied[level] |= 1u64 << slot;
+        let tail = std::mem::replace(&mut self.slots[slot].tail, idx);
+        if tail == NIL {
+            self.slots[slot].head = idx;
+        } else {
+            self.entries[tail as usize].next = idx;
+        }
     }
 
     fn push(&mut self, at: u64, seq: u64, event: E) {
         if (at ^ self.cursor) >> HORIZON_BITS != 0 {
-            self.overflow.push(Spilled { at, seq, event });
+            self.overflow.push(Scheduled { at, seq, event });
         } else {
-            self.file(at, event);
+            self.insert(at, event);
         }
     }
 
-    /// Lowest non-empty level, or `LEVELS` when the wheel itself is empty.
+    /// First occupied level-0 slot, if any.
     #[inline]
-    fn lowest_level(&self) -> usize {
-        let mut level = 0;
-        while level < LEVELS && self.occupied[level] == 0 {
-            level += 1;
+    fn first_l0_slot(&self) -> Option<usize> {
+        if self.l0_summary == 0 {
+            return None;
         }
-        level
+        let word = self.l0_summary.trailing_zeros() as usize;
+        Some(word * 64 + self.l0_words[word].trailing_zeros() as usize)
+    }
+
+    /// Lowest non-empty upper level and its first occupied slot.
+    #[inline]
+    fn first_upper_slot(&self) -> Option<(usize, usize)> {
+        let level = self.upper.iter().position(|&m| m != 0)?;
+        Some((level, self.upper[level].trailing_zeros() as usize))
     }
 
     fn pop(&mut self) -> Option<(u64, E)> {
         loop {
-            let level = self.lowest_level();
-            if level == LEVELS {
-                // Wheel empty: pull the next 2^36 µs block from overflow.
-                // All overflow events are in later blocks than everything the
-                // wheel held, so this never reorders.
-                let block = self.overflow.peek()?.at >> HORIZON_BITS;
-                self.cursor = block << HORIZON_BITS;
-                while let Some(s) = self.overflow.peek() {
-                    if s.at >> HORIZON_BITS != block {
-                        break;
+            if let Some(slot) = self.first_l0_slot() {
+                let idx = self.slots[slot].head;
+                let e = &mut self.entries[idx as usize];
+                let at = e.at;
+                let event = e.event.take().expect("a filed cell holds its event");
+                let next = std::mem::replace(&mut e.next, self.free);
+                self.free = idx;
+                self.slots[slot].head = next;
+                if next == NIL {
+                    self.slots[slot].tail = NIL;
+                    self.l0_words[slot / 64] &= !(1u64 << (slot % 64));
+                    if self.l0_words[slot / 64] == 0 {
+                        self.l0_summary &= !(1u64 << (slot / 64));
                     }
-                    let s = self.overflow.pop().expect("peeked");
-                    // Heap order is (at, seq), so equal-`at` spills re-enter
-                    // their bucket in push order.
-                    self.file(s.at, s.event);
-                }
-                continue;
-            }
-            let slot = self.occupied[level].trailing_zeros() as usize;
-            if level == 0 {
-                let bucket = &mut self.buckets[slot];
-                let (at, event) = bucket.pop_front().expect("occupancy bit set");
-                if bucket.is_empty() {
-                    self.occupied[0] &= !(1u64 << slot);
                 }
                 self.cursor = at;
                 return Some((at, event));
             }
-            // Cascade: advance the cursor to the slot's start time (still
-            // ≤ every event in the slot) and re-file the bucket one or more
-            // levels down.
-            let shift = SLOT_BITS * level as u32;
-            let upper = self.cursor >> (shift + SLOT_BITS) << (shift + SLOT_BITS);
-            self.cursor = upper | ((slot as u64) << shift);
-            self.occupied[level] &= !(1u64 << slot);
-            let mut bucket = std::mem::take(&mut self.buckets[level * SLOTS + slot]);
-            for (at, event) in bucket.drain(..) {
-                self.file(at, event);
+            if let Some((level, slot)) = self.first_upper_slot() {
+                // Cascade: advance the cursor to the slot's start time
+                // (still ≤ every event in the slot) and re-file the list one
+                // or more levels down.
+                let shift = L0_BITS + UPPER_BITS * level as u32;
+                let upper = self.cursor >> (shift + UPPER_BITS) << (shift + UPPER_BITS);
+                self.cursor = upper | ((slot as u64) << shift);
+                self.upper[level] &= !(1u64 << slot);
+                let list = &mut self.slots[L0_SLOTS + level * UPPER_SLOTS + slot];
+                let mut idx = std::mem::replace(list, EMPTY_SLOT).head;
+                while idx != NIL {
+                    let next = self.entries[idx as usize].next;
+                    self.file(idx);
+                    idx = next;
+                }
+                continue;
             }
-            // Hand the (now empty) allocation back to avoid churn.
-            self.buckets[level * SLOTS + slot] = bucket;
+            // Wheel empty: pull the next 2^36 µs block from overflow. All
+            // overflow events are in later blocks than everything the wheel
+            // held, so this never reorders.
+            let block = self.overflow.peek()?.at >> HORIZON_BITS;
+            self.cursor = block << HORIZON_BITS;
+            while self
+                .overflow
+                .peek()
+                .is_some_and(|s| s.at >> HORIZON_BITS == block)
+            {
+                let s = self.overflow.pop().expect("peeked");
+                // Heap order is (at, seq), so equal-`at` spills re-enter
+                // their list in push order.
+                self.insert(s.at, s.event);
+            }
         }
     }
 
     fn peek_time(&self) -> Option<u64> {
-        let level = self.lowest_level();
-        if level == LEVELS {
-            return self.overflow.peek().map(|s| s.at);
-        }
-        let slot = self.occupied[level].trailing_zeros() as usize;
-        if level == 0 {
+        if let Some(slot) = self.first_l0_slot() {
             // A level-0 slot holds exactly one timestamp.
-            return self.buckets[slot].front().map(|&(at, _)| at);
+            return Some(self.entries[self.slots[slot].head as usize].at);
         }
-        // Higher-level buckets mix timestamps; scan for the minimum. Not on
+        let Some((level, slot)) = self.first_upper_slot() else {
+            return self.overflow.peek().map(|s| s.at);
+        };
+        // Upper-level lists mix timestamps; scan for the minimum. Not on
         // the simulation hot path (the engine never peeks between events).
-        self.buckets[level * SLOTS + slot]
-            .iter()
-            .map(|&(at, _)| at)
-            .min()
+        let mut idx = self.slots[L0_SLOTS + level * UPPER_SLOTS + slot].head;
+        let mut min = u64::MAX;
+        while idx != NIL {
+            let e = &self.entries[idx as usize];
+            min = min.min(e.at);
+            idx = e.next;
+        }
+        Some(min)
     }
 }
 
 /// The future-event list behind an [`EventQueue`].
+// A simulation owns one queue and production ones are always `Wheel`, so the
+// variants' size gap wastes nothing; boxing the wheel would put a pointer
+// chase in front of every push and pop.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Backend<E> {
     Wheel(Wheel<E>),
-    Heap(BinaryHeap<ScheduledEvent<E>>),
+    Heap(BinaryHeap<Scheduled<E>>),
 }
 
 /// A deterministic future-event list with a virtual clock.
@@ -351,7 +428,11 @@ impl<E> EventQueue<E> {
         self.len += 1;
         match &mut self.backend {
             Backend::Wheel(w) => w.push(at.0, seq, event),
-            Backend::Heap(h) => h.push(ScheduledEvent { at, seq, event }),
+            Backend::Heap(h) => h.push(Scheduled {
+                at: at.0,
+                seq,
+                event,
+            }),
         }
     }
 
@@ -359,15 +440,13 @@ impl<E> EventQueue<E> {
     /// timestamp. Returns `None` when the queue is empty (simulation end).
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (at, event) = match &mut self.backend {
-            Backend::Wheel(w) => {
-                let (at, event) = w.pop()?;
-                (SimTime(at), event)
-            }
+            Backend::Wheel(w) => w.pop()?,
             Backend::Heap(h) => {
-                let ev = h.pop()?;
-                (ev.at, ev.event)
+                let s = h.pop()?;
+                (s.at, s.event)
             }
         };
+        let at = SimTime(at);
         debug_assert!(at >= self.now);
         self.now = at;
         self.processed += 1;
@@ -378,9 +457,10 @@ impl<E> EventQueue<E> {
     /// Timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         match &self.backend {
-            Backend::Wheel(w) => w.peek_time().map(SimTime),
-            Backend::Heap(h) => h.peek().map(|e| e.at),
+            Backend::Wheel(w) => w.peek_time(),
+            Backend::Heap(h) => h.peek().map(|s| s.at),
         }
+        .map(SimTime)
     }
 }
 
@@ -395,6 +475,63 @@ mod tests {
             EventQueue::with_backend(QueueBackend::Wheel),
             EventQueue::with_backend(QueueBackend::Heap),
         ]
+    }
+
+    /// The wheel and the heap oracle driven in lock-step: every push goes to
+    /// both (tagged with its push number) and every pop asserts that all
+    /// observables agree.
+    struct Pair {
+        wheel: EventQueue<u64>,
+        heap: EventQueue<u64>,
+        pushed: u64,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            let [wheel, heap] = both();
+            Self {
+                wheel,
+                heap,
+                pushed: 0,
+            }
+        }
+
+        /// Pushes at absolute time `at` µs; returns the event's tag.
+        fn push(&mut self, at: u64) -> u64 {
+            let tag = self.pushed;
+            self.pushed += 1;
+            self.wheel.push(SimTime(at), tag);
+            self.heap.push(SimTime(at), tag);
+            tag
+        }
+
+        fn pop(&mut self) -> Option<(u64, u64)> {
+            assert_eq!(self.wheel.peek_time(), self.heap.peek_time());
+            let popped = self.wheel.pop();
+            assert_eq!(popped, self.heap.pop(), "after {} pushes", self.pushed);
+            assert_eq!(self.wheel.len(), self.heap.len());
+            assert_eq!(self.wheel.is_empty(), self.heap.is_empty());
+            assert_eq!(self.wheel.processed(), self.heap.processed());
+            assert_eq!(self.wheel.now(), self.heap.now());
+            popped.map(|(t, tag)| (t.0, tag))
+        }
+
+        fn drain(&mut self) -> Vec<(u64, u64)> {
+            std::iter::from_fn(|| self.pop()).collect()
+        }
+
+        fn wheel(&self) -> &Wheel<u64> {
+            match &self.wheel.backend {
+                Backend::Wheel(w) => w,
+                Backend::Heap(_) => unreachable!("first of `both()` is the wheel"),
+            }
+        }
+    }
+
+    /// Every boundary of the geometry: the level-0 block, each upper level's
+    /// span, and the horizon.
+    fn level_boundaries() -> impl Iterator<Item = u64> {
+        (0..=UPPER_LEVELS as u32).map(|k| 1u64 << (L0_BITS + UPPER_BITS * k))
     }
 
     #[test]
@@ -579,5 +716,122 @@ mod tests {
             assert_eq!(wheel.len(), heap.len());
             assert_eq!(wheel.now(), heap.now());
         }
+    }
+
+    /// A same-time tie whose first event waited on an upper level and whose
+    /// second was filed straight into level 0 still pops in push order.
+    #[test]
+    fn tie_across_upper_level_and_level0_keeps_push_order() {
+        let mut p = Pair::new();
+        let a = p.push(5_000); // cursor 0: one block ahead, so an upper level
+        let b = p.push(4_100); // same upper slot, earlier
+        assert_eq!(p.wheel().l0_summary, 0);
+        assert_ne!(p.wheel().upper[0], 0);
+        assert_eq!(p.pop(), Some((4_100, b))); // cascades `a` down to level 0
+        assert_eq!(p.wheel().upper, [0; UPPER_LEVELS]);
+        let c = p.push(5_000); // cursor 4,100: same block, straight to level 0
+        let d = p.push(4_100); // already due: fires before the 5,000 µs tie
+        assert_eq!(p.drain(), vec![(4_100, d), (5_000, a), (5_000, c)]);
+    }
+
+    /// Events on both sides of every level boundary, ties included, pushed
+    /// from a cursor far below the boundary and from one step below it.
+    #[test]
+    fn pushes_straddling_level_boundaries_match_the_heap() {
+        for boundary in level_boundaries() {
+            for start in [0, boundary - 3] {
+                let mut p = Pair::new();
+                if start > 0 {
+                    p.push(start);
+                    p.pop();
+                }
+                for offset in [2i64, -2, 0, -1, 1, 0, 2, -2, 1, -1] {
+                    p.push(boundary.wrapping_add_signed(offset));
+                }
+                // Pop up to the boundary's edge, then push the same spread
+                // again: the late ones tie with events already cascaded.
+                for _ in 0..4 {
+                    p.pop();
+                }
+                for offset in [1i64, 0, -1, 2] {
+                    p.push(boundary.wrapping_add_signed(offset));
+                }
+                let rest = p.drain();
+                assert_eq!(rest.len(), 10, "boundary {boundary} start {start}");
+                assert!(rest.windows(2).all(|w| w[0] <= w[1]), "{rest:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn peek_time_reads_level0_upper_levels_and_overflow() {
+        let mut p = Pair::new();
+        p.push((1 << HORIZON_BITS) + 5); // overflow
+        assert_eq!(p.wheel.peek_time(), Some(SimTime((1 << HORIZON_BITS) + 5)));
+        p.push(10_000); // an upper-level list holding two timestamps,
+        p.push(9_000); // the later one first
+        assert_eq!(p.wheel().l0_summary, 0);
+        assert_eq!(p.wheel.peek_time(), Some(SimTime(9_000)));
+        p.push(100); // level 0
+        assert_eq!(p.wheel.peek_time(), Some(SimTime(100)));
+        // `Pair::pop` compares `peek_time` with the heap before every pop.
+        assert_eq!(p.drain().len(), 4);
+        assert_eq!(p.wheel.peek_time(), None);
+    }
+
+    #[test]
+    fn len_and_processed_count_every_tier() {
+        let mut p = Pair::new();
+        let times = [0, 7, 7, 4_095, 4_096, 1 << 20, 1 << 35, 1 << 36, 3 << 36];
+        for (i, &t) in times.iter().enumerate() {
+            assert_eq!(p.wheel.len(), i);
+            p.push(t);
+        }
+        assert_eq!(p.wheel.processed(), 0);
+        for i in 1..=times.len() {
+            assert!(!p.wheel.is_empty());
+            p.pop();
+            assert_eq!(p.wheel.len(), times.len() - i);
+            assert_eq!(p.wheel.processed(), i as u64);
+        }
+        assert!(p.wheel.is_empty());
+        assert_eq!(p.pop(), None);
+        assert_eq!(p.wheel.processed(), times.len() as u64);
+    }
+
+    /// Popped cells go back on the free list: after a hundred times the
+    /// pending count in push/pop churn the slab has grown no longer than the
+    /// most events that were ever pending at once.
+    #[test]
+    fn slab_is_no_longer_than_the_peak_pending_count() {
+        const PENDING: u64 = 500;
+        let mut rng = Xoshiro256StarStar::seeded(0x51AB);
+        let mut p = Pair::new();
+        let mut peak = 0;
+        for _ in 0..PENDING {
+            p.push(rng.gen_range(1_000_000));
+        }
+        for step in 0..100 * PENDING {
+            peak = peak.max(p.wheel.len());
+            let (now, _) = p.pop().expect("hold model never drains");
+            // One push per pop, and now and then a burst that is popped
+            // straight back, so the free list is used at several depths.
+            let burst = if step % 97 == 0 { 20 } else { 0 };
+            for _ in 0..=burst {
+                let span = 1u64 << rng.gen_range(30);
+                p.push(now + 1 + rng.gen_range(span));
+            }
+            peak = peak.max(p.wheel.len());
+            for _ in 0..burst {
+                p.pop();
+            }
+        }
+        assert!(peak >= PENDING as usize + 20);
+        assert!(
+            p.wheel().entries.len() <= peak,
+            "slab {} > peak pending {peak}",
+            p.wheel().entries.len()
+        );
+        p.drain();
     }
 }

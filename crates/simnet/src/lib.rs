@@ -23,5 +23,5 @@ pub mod kernel;
 pub mod net;
 
 pub use inject::{Injection, InjectionSchedule, ScheduledInjection};
-pub use kernel::{EventQueue, QueueBackend, ScheduledEvent};
+pub use kernel::{EventQueue, QueueBackend};
 pub use net::{Network, SharedLink};

@@ -201,17 +201,29 @@ rm -rf target/ci_mass_crash
 timeout 90 ./target/release/grid-local --scenario-file scenarios/mass_crash.json \
     --min-decisions 3 --out target/ci_mass_crash
 
-echo "== benchmark correctness (pinned event counts and decision hashes) =="
+echo "== benchmark correctness (pinned event counts, decision hashes, simulated outcomes) =="
 # The hub and reactor sit on a path only the benchmark's lock-step
 # generator checks frame by frame: each workload pins its DES event count
 # and decision hash in benchmark/workloads/*.expect and verifies them in
-# the same command that times it. Three seconds is the shortest run; no
-# timing is compared here.
-for w in paper36 wide_steady wide_churn bulk_wan; do
-    bash benchmark/run.sh --workload "$w" --seed 1 --seconds 3 --trace 0 \
+# the same command that times it. The two exact end-to-end metrics are
+# pinned here: they are simulated time, so any change to them is a change
+# of policy or of event order, never noise. Three seconds is the shortest
+# run; no timing is compared.
+while read -r w recovery ratio; do
+    bash benchmark/run.sh --workload "$w" --seed 1 --seconds 3 --trace 0 </dev/null \
         | tail -n 1 > "target/ci_bench_$w.json"
     grep -q '"correct":true' "target/ci_bench_$w.json"
-    echo "  $w: correct"
-done
+    for pin in "\"sim_recovery_s\":{\"value\":$recovery," \
+               "\"sim_runtime_ratio\":{\"value\":$ratio,"; do
+        grep -qF "$pin" "target/ci_bench_$w.json" \
+            || { echo "  $w: expected $pin" >&2; exit 1; }
+    done
+    echo "  $w: correct, sim_recovery_s $recovery, sim_runtime_ratio $ratio"
+done <<'PINS'
+paper36     340  0.6869829423143701
+wide_steady 8480 2.2804496305016957
+wide_churn  4560 3.3795889242793447
+bulk_wan    360  0.4544444135790188
+PINS
 
 echo "CI OK"

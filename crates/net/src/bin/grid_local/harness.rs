@@ -428,7 +428,7 @@ impl LocalGrid {
         let (events_tx, events_rx) = channel::<NetEvent>();
         let stream = TcpStream::connect(hub)
             .map_err(|e| Failure::Infra(format!("connect to hub {hub}: {e}")))?;
-        let control = Connection::spawn(1, stream, events_tx, None)
+        let control = Connection::spawn(1, stream, events_tx)
             .map_err(|e| Failure::Infra(format!("control conn: {e}")))?;
         control.send(Message::LauncherHello);
         let (inner, hubs) = (Arc::clone(&self.inner), self.dial.clone());

@@ -55,7 +55,7 @@ fn run() -> Result<(), String> {
                 Ok(s) => {
                     backoff.reset();
                     *next_conn += 1;
-                    let conn = Connection::spawn(*next_conn, s, events_tx.clone(), None)
+                    let conn = Connection::spawn(*next_conn, s, events_tx.clone())
                         .map_err(|e| format!("connection setup: {e}"))?;
                     conn.send(Message::CoordinatorHello);
                     hubs_dial.advance();

@@ -80,7 +80,7 @@ fn join(
     loop {
         let stream = connect(hubs, backoff)?;
         *next_conn += 1;
-        let conn = Connection::spawn(*next_conn, stream, events.clone(), None)
+        let conn = Connection::spawn(*next_conn, stream, events.clone())
             .map_err(|e| format!("connection setup: {e}"))?;
         conn.send(Message::Join { cluster, claim });
         let deadline = Instant::now() + Duration::from_secs(10);

@@ -17,7 +17,7 @@
 
 use crate::reactor::{Reactor, ReactorEvent, Waker};
 use crate::wire::Message;
-use sagrid_core::metrics::{Counter, Metrics};
+use sagrid_core::metrics::Metrics;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,33 +49,6 @@ enum Cmd {
     Msg(Message),
     /// Drain the write queue (bounded by the duration), then ack.
     Flush(Duration, Sender<()>),
-}
-
-/// Pre-resolved `net.*` counters, so the per-frame hot path never does a
-/// name lookup (same idiom as the scheduler's and runtime's metrics).
-/// `decode_errors` is counted by server-side reactors; a client connection
-/// surfaces an undecodable peer as a plain close.
-#[derive(Clone, Debug)]
-pub struct NetMetrics {
-    frames_sent: Arc<Counter>,
-    frames_received: Arc<Counter>,
-    bytes_sent: Arc<Counter>,
-    bytes_received: Arc<Counter>,
-    #[allow(dead_code)]
-    decode_errors: Arc<Counter>,
-}
-
-impl NetMetrics {
-    /// Resolves the counter handles; `None` when metrics are disabled.
-    pub fn resolve(metrics: &Metrics) -> Option<Self> {
-        metrics.is_enabled().then(|| Self {
-            frames_sent: metrics.counter("net.frames_sent").expect("enabled"),
-            frames_received: metrics.counter("net.frames_received").expect("enabled"),
-            bytes_sent: metrics.counter("net.bytes_sent").expect("enabled"),
-            bytes_received: metrics.counter("net.bytes_received").expect("enabled"),
-            decode_errors: metrics.counter("net.decode_errors").expect("enabled"),
-        })
-    }
 }
 
 /// The shared core of a connection handle. Held strongly by every public
@@ -119,12 +92,10 @@ impl Connection {
         id: ConnId,
         stream: TcpStream,
         events: Sender<NetEvent>,
-        nm: Option<NetMetrics>,
     ) -> io::Result<Connection> {
         let peer = stream.peer_addr()?;
-        // The reactor is private to this connection's thread; transport
-        // counters are maintained here against the caller's registry, so
-        // the reactor itself runs unmetered.
+        // The reactor is private to this connection's thread and runs
+        // unmetered.
         let mut reactor = Reactor::new(&Metrics::disabled())?;
         let token = reactor.register(stream)?;
         let waker = reactor.waker()?;
@@ -150,14 +121,7 @@ impl Connection {
                     loop {
                         match inbox.try_recv() {
                             Ok(Cmd::Msg(msg)) => {
-                                let frame = Reactor::encode_frame(&msg);
-                                let len = frame.len() as u64;
-                                if reactor.send_frame(token, frame) {
-                                    if let Some(nm) = &nm {
-                                        nm.frames_sent.inc();
-                                        nm.bytes_sent.add(len);
-                                    }
-                                }
+                                reactor.send(token, &msg);
                             }
                             Ok(Cmd::Flush(timeout, ack)) => {
                                 if reactor.flush(token, timeout) {
@@ -180,13 +144,6 @@ impl Connection {
                     for ev in out.drain(..) {
                         match ev {
                             ReactorEvent::Frame(_, msg) => {
-                                if let Some(nm) = &nm {
-                                    nm.frames_received.inc();
-                                    // encode() is deterministic, so this is
-                                    // exactly the frame size read off the
-                                    // wire (payload + 4-byte prefix).
-                                    nm.bytes_received.add(msg.encode().len() as u64 + 4);
-                                }
                                 if events.send(NetEvent::Message(id, msg)).is_err() {
                                     break 'life; // sink gone: nobody listening
                                 }
@@ -275,7 +232,7 @@ mod tests {
         });
 
         let stream = TcpStream::connect(addr).unwrap();
-        let conn = Connection::spawn(1, stream, events_tx, None).unwrap();
+        let conn = Connection::spawn(1, stream, events_tx).unwrap();
         assert!(conn.send(Message::Heartbeat { node: NodeId(3) }));
 
         let evt = events_rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -288,39 +245,6 @@ mod tests {
         let evt = events_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(evt, NetEvent::Closed(1)), "got {evt:?}");
         server.join().unwrap();
-    }
-
-    #[test]
-    fn metrics_count_frames_and_bytes() {
-        let metrics = Metrics::enabled();
-        let nm = NetMetrics::resolve(&metrics);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (events_tx, events_rx) = channel();
-
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut r = BufReader::new(stream.try_clone().unwrap());
-            while let Ok(Some(_)) = crate::wire::recv_message(&mut r) {}
-        });
-
-        let stream = TcpStream::connect(addr).unwrap();
-        let conn = Connection::spawn(9, stream, events_tx, nm).unwrap();
-        for i in 0..5 {
-            assert!(conn.send(Message::Heartbeat { node: NodeId(i) }));
-        }
-        let evt = events_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let NetEvent::Opened(registered) = evt else {
-            panic!("expected Opened first, got {evt:?}")
-        };
-        drop(registered);
-        drop(conn); // both handles gone → the I/O thread drains and exits
-        let evt = events_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(evt, NetEvent::Closed(9)));
-        server.join().unwrap();
-        let report = metrics.report();
-        assert_eq!(report.counter("net.frames_sent"), 5);
-        assert!(report.counter("net.bytes_sent") >= 5 * 9);
     }
 
     #[test]
@@ -341,7 +265,7 @@ mod tests {
         });
 
         let stream = TcpStream::connect(addr).unwrap();
-        let conn = Connection::spawn(2, stream, events_tx, None).unwrap();
+        let conn = Connection::spawn(2, stream, events_tx).unwrap();
         // Drain the Opened event and drop the handle clone it carries —
         // otherwise it keeps the command channel open past the final drop
         // below.
@@ -398,7 +322,7 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let (server_side, _) = listener.accept().unwrap();
         // Thread names are capped at 15 chars; id 4242 keeps it unique.
-        let conn = Connection::spawn(4242, stream, events_tx, None).unwrap();
+        let conn = Connection::spawn(4242, stream, events_tx).unwrap();
         let evt = events_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(evt, NetEvent::Opened(_)));
         // The thread is spawned after `Opened` is enqueued; poll for its

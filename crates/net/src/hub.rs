@@ -292,8 +292,6 @@ impl Hub {
         // of being dropped (the launcher's hello may race the coordinator's
         // first decision).
         let mut pending_grants: Vec<(NodeId, ClusterId)> = Vec::new();
-        let mut blacklisted_nodes: BTreeSet<NodeId> = BTreeSet::new();
-        let mut blacklisted_clusters: BTreeSet<ClusterId> = BTreeSet::new();
         // Steal-plane peer directory: node → where its steal listener is.
         // Populated by PeerAnnounce, pruned on leave/death. Broadcasts are
         // coalesced: changes mark the directory dirty and TIMER_DIR pushes
@@ -304,7 +302,9 @@ impl Hub {
         let dir_interval = self.cfg.detect_interval.min(Duration::from_millis(50));
 
         // Replication plane: the primary's own materialised copy of the
-        // replicated state, the log, and the attached standbys.
+        // replicated state, the log, and the attached standbys. `control`
+        // is also the hub's only copy of both blacklists: a blacklist entry
+        // exists exactly when its op was replicated.
         let hub_epoch = self.epoch;
         let leader = self.leader;
         let mut control = ControlState::default();
@@ -342,9 +342,7 @@ impl Hub {
             }
             let _ = membership.take_events();
             let _ = membership.take_signals();
-            blacklisted_nodes = seed.blacklisted_nodes.clone();
-            blacklisted_clusters = seed.blacklisted_clusters.clone();
-            for n in &blacklisted_nodes {
+            for n in &seed.blacklisted_nodes {
                 pool.mark_lost(*n);
             }
             peer_dir = seed.peers.clone();
@@ -361,7 +359,8 @@ impl Hub {
                         "blacklisted_nodes",
                         Value::Raw(format!(
                             "[{}]",
-                            blacklisted_nodes
+                            control
+                                .blacklisted_nodes
                                 .iter()
                                 .map(|n| n.0.to_string())
                                 .collect::<Vec<_>>()
@@ -447,7 +446,6 @@ impl Hub {
                         for dead in membership.detect_failures(t) {
                             let cluster = membership.cluster_of(dead).unwrap_or(ClusterId(0));
                             pool.mark_lost(dead);
-                            blacklisted_nodes.insert(dead);
                             node_conn.remove(&dead);
                             if peer_dir.contains_key(&dead) {
                                 flush_directory(
@@ -516,7 +514,7 @@ impl Hub {
                             let t = now(epoch);
                             let verdict = match claim {
                                 Some(node) => {
-                                    if blacklisted_nodes.contains(&node) {
+                                    if control.blacklisted_nodes.contains(&node) {
                                         Err(format!("node {node} is blacklisted"))
                                     } else if pending_spawns.remove(&node) {
                                         let c = pool.cluster_of(node);
@@ -545,7 +543,7 @@ impl Hub {
                                 None => {
                                     if cluster.index() >= self.cfg.clusters {
                                         Err(format!("no such cluster {cluster}"))
-                                    } else if blacklisted_clusters.contains(&cluster) {
+                                    } else if control.blacklisted_clusters.contains(&cluster) {
                                         Err(format!("cluster {cluster} is blacklisted"))
                                     } else {
                                         // Force the grant into the declared
@@ -553,14 +551,14 @@ impl Hub {
                                         let excl: BTreeSet<ClusterId> = (0..self.cfg.clusters)
                                             .map(|i| ClusterId(i as u16))
                                             .filter(|c| *c != cluster)
-                                            .chain(blacklisted_clusters.iter().copied())
+                                            .chain(control.blacklisted_clusters.iter().copied())
                                             .collect();
                                         match pool
                                             .request(
                                                 1,
                                                 AllocPolicy::LocalityAware,
                                                 &Requirements::default(),
-                                                &blacklisted_nodes,
+                                                &control.blacklisted_nodes,
                                                 &excl,
                                                 &[cluster],
                                             )
@@ -659,7 +657,7 @@ impl Hub {
                             // Reports from blacklisted nodes are dropped so a
                             // removed worker can never re-enter the
                             // coordinator's report set through a stale socket.
-                            if !blacklisted_nodes.contains(&report.node) {
+                            if !control.blacklisted_nodes.contains(&report.node) {
                                 // Learned bandwidth is control-plane state a
                                 // new primary must not have to re-measure:
                                 // replicate the latest benchmark per node.
@@ -707,7 +705,7 @@ impl Hub {
                             );
                             // Blacklisted (shrink-removed) nodes never return
                             // to the pool; voluntary leavers do.
-                            if !blacklisted_nodes.contains(&node) {
+                            if !control.blacklisted_nodes.contains(&node) {
                                 pool.release(node);
                             }
                             node_conn.remove(&node);
@@ -778,8 +776,8 @@ impl Hub {
                                         min_uplink_bps,
                                         min_speed,
                                     },
-                                    &blacklisted_nodes,
-                                    &blacklisted_clusters,
+                                    &control.blacklisted_nodes,
+                                    &control.blacklisted_clusters,
                                     &prefer,
                                 );
                                 match launcher {
@@ -812,7 +810,6 @@ impl Hub {
                                 if let Some(hc) = &hc {
                                     hc.shrink_requests.inc();
                                 }
-                                blacklisted_nodes.extend(nodes.iter().copied());
                                 for &node in &nodes {
                                     replicate(
                                         ReplicaOp::BlacklistNode { node },
@@ -825,7 +822,6 @@ impl Hub {
                                     );
                                 }
                                 if let Some(c) = cluster {
-                                    blacklisted_clusters.insert(c);
                                     replicate(
                                         ReplicaOp::BlacklistCluster { cluster: c },
                                         hub_epoch,

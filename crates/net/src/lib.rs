@@ -36,7 +36,7 @@ pub mod steal;
 pub mod wire;
 
 pub use backoff::Backoff;
-pub use conn::{ConnId, Connection, NetEvent, NetMetrics};
+pub use conn::{ConnId, Connection, NetEvent};
 pub use hub::{Hub, HubConfig};
 pub use reactor::{FrameDecoder, Reactor, ReactorEvent, ReactorMetrics, Token, Waker};
 pub use replica::{elect_primary, run_standby, HubSet, StandbyConfig, StandbyOutcome, Takeover};

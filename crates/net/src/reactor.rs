@@ -490,11 +490,7 @@ impl Reactor {
     /// Encodes `msg` as a wire frame (length prefix + payload), shareable
     /// across many queues — broadcasts encode once, clone the `Arc`.
     pub fn encode_frame(msg: &Message) -> Arc<[u8]> {
-        let payload = msg.encode();
-        let mut frame = Vec::with_capacity(payload.len() + 4);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame.into()
+        msg.frame().into()
     }
 
     /// Queues an encoded frame. `false` when the connection is gone, is

@@ -18,7 +18,7 @@
 //! those from worker reconnects, which re-claim ids and re-announce steal
 //! listeners through the ordinary join path.
 
-use crate::wire::PeerInfo;
+use crate::wire::{PeerInfo, Wire};
 use sagrid_core::ids::{ClusterId, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -213,44 +213,11 @@ impl ControlState {
         }
     }
 
-    /// Stable byte encoding (the snapshot's canonical little-endian layout).
-    /// Two states are byte-equivalent iff these vectors are equal.
+    /// Stable byte encoding: the snapshot's wire encoding, as carried by a
+    /// `StateSnapshot` (sorted, little-endian). Two states are
+    /// byte-equivalent iff these vectors are equal.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let s = self.snapshot();
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&(s.members.len() as u32).to_le_bytes());
-        for (n, c, p) in &s.members {
-            out.extend_from_slice(&n.0.to_le_bytes());
-            out.extend_from_slice(&c.0.to_le_bytes());
-            out.push(p.to_byte());
-        }
-        out.extend_from_slice(&(s.blacklisted_nodes.len() as u32).to_le_bytes());
-        for n in &s.blacklisted_nodes {
-            out.extend_from_slice(&n.0.to_le_bytes());
-        }
-        out.extend_from_slice(&(s.blacklisted_clusters.len() as u32).to_le_bytes());
-        for c in &s.blacklisted_clusters {
-            out.extend_from_slice(&c.0.to_le_bytes());
-        }
-        out.extend_from_slice(&(s.peers.len() as u32).to_le_bytes());
-        for p in &s.peers {
-            out.extend_from_slice(&p.node.0.to_le_bytes());
-            out.extend_from_slice(&p.cluster.0.to_le_bytes());
-            out.extend_from_slice(&(p.steal_addr.len() as u32).to_le_bytes());
-            out.extend_from_slice(p.steal_addr.as_bytes());
-        }
-        out.extend_from_slice(&(s.bandwidth.len() as u32).to_le_bytes());
-        for (n, b) in &s.bandwidth {
-            out.extend_from_slice(&n.0.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
-        }
-        out.extend_from_slice(&(s.replicas.len() as u32).to_le_bytes());
-        for (r, a) in &s.replicas {
-            out.extend_from_slice(&r.to_le_bytes());
-            out.extend_from_slice(&(a.len() as u32).to_le_bytes());
-            out.extend_from_slice(a.as_bytes());
-        }
-        out
+        self.snapshot().to_bytes()
     }
 
     /// FNV-1a over [`ControlState::canonical_bytes`] — a cheap equivalence

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 const LATENCY_BOUNDS_US: &[u64] = &[50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 50_000];
 
 /// Pre-resolved steal-plane metric handles; `None` when metrics are
-/// disabled (same idiom as [`crate::conn::NetMetrics`]).
+/// disabled (same idiom as [`crate::reactor::ReactorMetrics`]).
 #[derive(Clone)]
 pub struct StealMetrics {
     remote_ok: Arc<Counter>,

@@ -10,6 +10,10 @@
 //! back to itself, i.e. damage can change the message but never produce a
 //! value outside the codec's closed set.
 //!
+//! The same fixture pins the wire format itself: the framed fixture
+//! stream and the replicated state its deltas build are compared against
+//! golden hashes, so a codec change that moves a single byte fails here.
+//!
 //! Everything is seeded through the workspace RNG, so a failure
 //! reproduces exactly.
 
@@ -17,12 +21,15 @@ use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::rng::{Rng64, SplitMix64};
 use sagrid_core::stats::{MonitoringReport, OverheadBreakdown};
 use sagrid_core::time::{SimDuration, SimTime};
-use sagrid_net::wire::{Message, PeerInfo, StealJob};
-use sagrid_net::{ControlSnapshot, FrameDecoder, MemberPhase, Reactor, ReplicaOp};
+use sagrid_net::wire::{recv_message, send_message, Message, PeerInfo, StealJob, WireError};
+use sagrid_net::{ControlSnapshot, ControlState, FrameDecoder, MemberPhase, Reactor, ReplicaOp};
+use std::collections::BTreeSet;
 
 /// One representative encoding of every variant (and every interesting
 /// shape within a variant: `None`/`Some` options, empty/filled lists,
-/// non-ASCII strings).
+/// non-ASCII strings, floats without a short decimal form) and of every
+/// [`ReplicaOp`]. `fixture_covers_every_tag_and_op` fails until a new
+/// variant is added here.
 fn every_message() -> Vec<Message> {
     let report = MonitoringReport {
         node: NodeId(7),
@@ -36,6 +43,16 @@ fn every_message() -> Vec<Message> {
             benchmark: SimDuration(5),
         },
         speed: 0.4375,
+    };
+    let peer = |node: u32, cluster: u16, addr: &str| PeerInfo {
+        node: NodeId(node),
+        cluster: ClusterId(cluster),
+        steal_addr: addr.to_string(),
+    };
+    let delta = |epoch: u64, log_offset: u64, op: ReplicaOp| Message::StateDelta {
+        epoch,
+        log_offset,
+        op,
     };
     vec![
         Message::Join {
@@ -61,11 +78,26 @@ fn every_message() -> Vec<Message> {
             report,
             bench_micros: 1500,
         },
+        Message::StatsReport {
+            report: MonitoringReport {
+                speed: 0.1 + 0.2,
+                ..report
+            },
+            bench_micros: u64::MAX,
+        },
         Message::Leaving { node: NodeId(5) },
         Message::SignalLeave { node: NodeId(6) },
         Message::CrashNotice {
             node: NodeId(8),
             cluster: ClusterId(1),
+        },
+        Message::SuspectNotice {
+            node: NodeId(8),
+            suspected: true,
+        },
+        Message::SuspectNotice {
+            node: NodeId(8),
+            suspected: false,
         },
         Message::CoordinatorHello,
         Message::LauncherHello,
@@ -75,8 +107,22 @@ fn every_message() -> Vec<Message> {
             min_uplink_bps: Some(1e6),
             min_speed: None,
         },
+        Message::Grow {
+            count: 1,
+            prefer: vec![],
+            min_uplink_bps: None,
+            min_speed: Some(0.75),
+        },
         Message::Shrink {
             nodes: vec![NodeId(3), NodeId(1)],
+            cluster: Some(ClusterId(4)),
+        },
+        Message::Shrink {
+            nodes: vec![NodeId(3), NodeId(1)],
+            cluster: None,
+        },
+        Message::Shrink {
+            nodes: vec![NodeId(10), NodeId(11)],
             cluster: Some(ClusterId(4)),
         },
         Message::SpawnWorker {
@@ -90,18 +136,7 @@ fn every_message() -> Vec<Message> {
         },
         Message::PeerDirectory { peers: vec![] },
         Message::PeerDirectory {
-            peers: vec![
-                PeerInfo {
-                    node: NodeId(0),
-                    cluster: ClusterId(0),
-                    steal_addr: "127.0.0.1:9001".to_string(),
-                },
-                PeerInfo {
-                    node: NodeId(5),
-                    cluster: ClusterId(1),
-                    steal_addr: "10.0.0.7:9002".to_string(),
-                },
-            ],
+            peers: vec![peer(0, 0, "127.0.0.1:9001"), peer(5, 1, "10.0.0.7:9002")],
         },
         Message::StealRequest { thief: NodeId(2) },
         Message::StealReply { job: None },
@@ -127,10 +162,27 @@ fn every_message() -> Vec<Message> {
             speed: None,
             inter_frac: Some(0.4),
         },
+        Message::Perturb {
+            cluster: ClusterId(2),
+            count: 0,
+            speed: Some(0.1),
+            inter_frac: None,
+        },
+        Message::Perturb {
+            cluster: ClusterId(0),
+            count: 6,
+            speed: None,
+            inter_frac: Some(0.45),
+        },
         // Replication plane: hello/snapshot/delta/ack/epoch.
         Message::ReplicaHello {
             replica: 1,
             addr: "127.0.0.1:61001".to_string(),
+            log_offset: 0,
+        },
+        Message::ReplicaHello {
+            replica: 2,
+            addr: "127.0.0.1:7002".to_string(),
             log_offset: 0,
         },
         Message::StateSnapshot {
@@ -150,64 +202,222 @@ fn every_message() -> Vec<Message> {
                 ],
                 blacklisted_nodes: vec![NodeId(3)],
                 blacklisted_clusters: vec![ClusterId(2)],
-                peers: vec![PeerInfo {
-                    node: NodeId(0),
-                    cluster: ClusterId(0),
-                    steal_addr: "127.0.0.1:9001".to_string(),
-                }],
+                peers: vec![peer(0, 0, "127.0.0.1:9001")],
                 bandwidth: vec![(NodeId(0), 1500), (NodeId(1), u64::MAX)],
                 replicas: vec![(1, "127.0.0.1:61001".to_string())],
             },
         },
-        Message::StateDelta {
-            epoch: 1,
-            log_offset: 4,
-            op: ReplicaOp::Join {
+        Message::StateSnapshot {
+            epoch: 3,
+            log_offset: 42,
+            state: ControlSnapshot {
+                members: vec![
+                    (NodeId(0), ClusterId(0), MemberPhase::Alive),
+                    (NodeId(1), ClusterId(1), MemberPhase::Leaving),
+                    (NodeId(2), ClusterId(0), MemberPhase::Left),
+                    (NodeId(3), ClusterId(1), MemberPhase::Dead),
+                ],
+                blacklisted_nodes: vec![NodeId(3)],
+                blacklisted_clusters: vec![ClusterId(4)],
+                peers: vec![peer(0, 0, "127.0.0.1:9001")],
+                bandwidth: vec![(NodeId(0), 1500), (NodeId(1), u64::MAX)],
+                replicas: vec![(2, "127.0.0.1:7002".to_string())],
+            },
+        },
+        delta(
+            1,
+            4,
+            ReplicaOp::Join {
                 node: NodeId(9),
                 cluster: ClusterId(1),
             },
-        },
-        Message::StateDelta {
-            epoch: 1,
-            log_offset: 5,
-            op: ReplicaOp::BlacklistNode { node: NodeId(9) },
-        },
-        Message::StateDelta {
-            epoch: 2,
-            log_offset: 6,
-            op: ReplicaOp::PeerDir {
-                peers: vec![PeerInfo {
-                    node: NodeId(4),
-                    cluster: ClusterId(0),
-                    steal_addr: "10.0.0.4:9004".to_string(),
-                }],
+        ),
+        delta(1, 5, ReplicaOp::BlacklistNode { node: NodeId(9) }),
+        delta(
+            2,
+            6,
+            ReplicaOp::PeerDir {
+                peers: vec![peer(4, 0, "10.0.0.4:9004")],
             },
-        },
-        Message::StateDelta {
-            epoch: 2,
-            log_offset: 7,
-            op: ReplicaOp::Bandwidth {
+        ),
+        delta(
+            2,
+            7,
+            ReplicaOp::Bandwidth {
                 node: NodeId(4),
                 bench_micros: 2500,
             },
-        },
-        Message::StateDelta {
-            epoch: 2,
-            log_offset: 8,
-            op: ReplicaOp::ReplicaJoined {
+        ),
+        delta(
+            2,
+            8,
+            ReplicaOp::ReplicaJoined {
                 replica: 2,
                 addr: "127.0.0.1:61002".to_string(),
             },
-        },
+        ),
+        delta(
+            3,
+            43,
+            ReplicaOp::Join {
+                node: NodeId(9),
+                cluster: ClusterId(1),
+            },
+        ),
+        delta(3, 44, ReplicaOp::Leave { node: NodeId(9) }),
+        delta(3, 45, ReplicaOp::Death { node: NodeId(2) }),
+        delta(3, 46, ReplicaOp::BlacklistNode { node: NodeId(2) }),
+        delta(
+            3,
+            47,
+            ReplicaOp::BlacklistCluster {
+                cluster: ClusterId(1),
+            },
+        ),
+        delta(
+            3,
+            48,
+            ReplicaOp::PeerDir {
+                peers: vec![peer(5, 1, "10.0.0.7:9002")],
+            },
+        ),
+        delta(
+            3,
+            49,
+            ReplicaOp::Bandwidth {
+                node: NodeId(5),
+                bench_micros: 2750,
+            },
+        ),
+        delta(
+            3,
+            50,
+            ReplicaOp::ReplicaJoined {
+                replica: 4,
+                addr: "127.0.0.1:7004".to_string(),
+            },
+        ),
         Message::ReplicaAck {
             replica: 1,
             log_offset: 8,
+        },
+        Message::ReplicaAck {
+            replica: 2,
+            log_offset: 50,
         },
         Message::HubEpoch {
             epoch: 2,
             leader: 1,
         },
+        Message::HubEpoch {
+            epoch: 2,
+            leader: 2,
+        },
     ]
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every tag the decoder knows must appear in the fixture, and so must
+/// every replication-op tag. Known tags are found by asking the decoder
+/// itself (an unknown tag is `BadTag`, a known one is not), so a new
+/// variant fails this test until the fixture carries it.
+#[test]
+fn fixture_covers_every_tag_and_op() {
+    let msgs = every_message();
+    let known: BTreeSet<u8> = (0..=u8::MAX)
+        .filter(|&t| Message::decode(&[t]) != Err(WireError::BadTag(t)))
+        .collect();
+    assert_eq!(known, (0x01..=0x19).collect());
+    let fixture: BTreeSet<u8> = msgs.iter().map(|m| m.encode()[0]).collect();
+    assert_eq!(fixture, known, "fixture misses a message tag");
+
+    // A StateDelta (0x16) carries its op tag after the epoch and offset.
+    const OP_AT: usize = 1 + 8 + 8;
+    let delta_with_op = |op: u8| {
+        let mut b = vec![0u8; OP_AT + 1];
+        b[0] = 0x16;
+        b[OP_AT] = op;
+        b
+    };
+    let known_ops: BTreeSet<u8> = (0..=u8::MAX)
+        .filter(|&op| Message::decode(&delta_with_op(op)) != Err(WireError::BadTag(op)))
+        .collect();
+    assert_eq!(known_ops, (0..=7).collect());
+    let fixture_ops: BTreeSet<u8> = msgs
+        .iter()
+        .filter(|m| matches!(m, Message::StateDelta { .. }))
+        .map(|m| m.encode()[OP_AT])
+        .collect();
+    assert_eq!(fixture_ops, known_ops, "fixture misses a replication op");
+}
+
+/// The wire format is frozen: deployed peers and the benchmark depend on
+/// it. The framed fixture stream and the replicated state built from the
+/// fixture's deltas are pinned by length and FNV-1a.
+#[test]
+fn golden_wire_format_pin() {
+    let msgs = every_message();
+    let mut stream = Vec::new();
+    let mut sent = Vec::new();
+    for m in &msgs {
+        stream.extend_from_slice(&Reactor::encode_frame(m));
+        send_message(&mut sent, m).unwrap();
+    }
+    assert_eq!(sent, stream, "blocking and reactor framing disagree");
+    assert_eq!(msgs.len(), 54);
+    assert_eq!(stream.len(), 1582);
+    assert_eq!(fnv1a64(&stream), 0x2098_4c7a_b809_d0b8);
+
+    let mut state = ControlState::default();
+    for m in &msgs {
+        if let Message::StateDelta { op, .. } = m {
+            state.apply(op);
+        }
+    }
+    let canonical = state.canonical_bytes();
+    assert_eq!(canonical.len(), 133);
+    assert_eq!(fnv1a64(&canonical), state.digest());
+    assert_eq!(state.digest(), 0x4f5a_f59a_84a1_e62d);
+}
+
+#[test]
+fn every_message_round_trips_bit_exactly() {
+    for msg in every_message() {
+        let bytes = msg.encode();
+        let back = Message::decode(&bytes).unwrap_or_else(|e| panic!("{msg:?}: {e}"));
+        assert_eq!(back, msg);
+        // Equal bytes, not just equal values: f64 fields travel as their
+        // bit patterns.
+        assert_eq!(back.encode(), bytes, "{msg:?} re-encodes differently");
+    }
+}
+
+#[test]
+fn trailing_garbage_is_rejected() {
+    for msg in every_message() {
+        let mut bytes = msg.encode();
+        bytes.push(0xff);
+        assert_eq!(Message::decode(&bytes), Err(WireError::Trailing(1)));
+    }
+}
+
+#[test]
+fn frames_round_trip_over_a_buffer() {
+    let mut buf = Vec::new();
+    for msg in every_message() {
+        send_message(&mut buf, &msg).unwrap();
+    }
+    let mut r = std::io::Cursor::new(buf);
+    for msg in every_message() {
+        assert_eq!(recv_message(&mut r).unwrap(), Some(msg));
+    }
+    assert_eq!(recv_message(&mut r).unwrap(), None, "clean EOF");
 }
 
 #[test]

@@ -397,7 +397,7 @@ fn leave_farewell_is_flushed_before_the_connection_is_torn_down() {
     // dedicated reader/writer threads, so a send() only queues).
     let (events_tx, events_rx) = std::sync::mpsc::channel::<NetEvent>();
     let stream = TcpStream::connect(("127.0.0.1", port)).expect("connect");
-    let conn = Connection::spawn(77, stream, events_tx, None).expect("spawn conn");
+    let conn = Connection::spawn(77, stream, events_tx).expect("spawn conn");
     conn.send(Message::Join {
         cluster: ClusterId(0),
         claim: None,

@@ -32,6 +32,11 @@ cargo test --workspace -q
 echo "== doc tests =="
 cargo test --workspace -q --doc
 
+echo "== rustdoc (warnings are errors) =="
+# A deleted or renamed item leaves intra-doc links pointing at nothing;
+# this fails on them instead of letting them rot.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== DES throughput (quick) =="
 # Quick mode covers all three rows, the million-node stress scenario
 # included (one ~30 s sample of its bounded virtual-time slice).

@@ -40,7 +40,7 @@ pub use conn::{ConnId, Connection, NetEvent};
 pub use hub::{Hub, HubConfig};
 pub use reactor::{FrameDecoder, Reactor, ReactorEvent, ReactorMetrics, Token, Waker};
 pub use replica::{elect_primary, run_standby, HubSet, StandbyConfig, StandbyOutcome, Takeover};
-pub use replog::{ControlSnapshot, ControlState, MemberPhase, RepLog, ReplicaOp};
+pub use replog::{ControlSnapshot, ControlState, MemberPhase, ReplicaOp};
 pub use steal::{ExportPool, NetStealHook, StealClient, StealMetrics};
 pub use wire::Message;
 

@@ -851,6 +851,30 @@ impl Reactor {
     }
 }
 
+/// Where a socket-free protocol core (the hub's and the standby's) puts
+/// its output. The reactor is the production sink; tests record instead.
+pub(crate) trait Outbox {
+    /// Queues an encoded frame; `false` when it was not queued.
+    fn send_frame(&mut self, token: Token, frame: Arc<[u8]>) -> bool;
+    /// Closes a connection once its queued frames are out.
+    fn close(&mut self, token: Token);
+
+    /// Encodes and queues one message.
+    fn send(&mut self, token: Token, msg: &Message) -> bool {
+        self.send_frame(token, Reactor::encode_frame(msg))
+    }
+}
+
+impl Outbox for Reactor {
+    fn send_frame(&mut self, token: Token, frame: Arc<[u8]>) -> bool {
+        Reactor::send_frame(self, token, frame)
+    }
+
+    fn close(&mut self, token: Token) {
+        Reactor::close(self, token)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

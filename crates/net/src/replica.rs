@@ -13,7 +13,10 @@
 //!
 //! The standby's whole life runs on one [`Reactor`]: the same loop tails
 //! the replication link, ticks the silence detector, and serves the
-//! standby's pre-takeover front door — the listener is bound from day one
+//! standby's pre-takeover front door. Every decision in it is made by a
+//! socket-free `StandbyCore`, which is handed the time with each input;
+//! [`run_standby`] only dials when the core asks, polls, and hands the
+//! listener back with an outcome. The listener is bound from day one
 //! (so launchers can hand its address to workers immediately) and clients
 //! that wander in are politely refused: a [`Message::Join`] gets an
 //! explicit refusal whose reason starts with `"standby"` (workers treat
@@ -30,7 +33,7 @@
 //! back) and serves; losers re-attach to the winner's advertised address.
 
 use crate::backoff::Backoff;
-use crate::reactor::{Reactor, ReactorEvent, Token};
+use crate::reactor::{Outbox, Reactor, ReactorEvent, Token};
 use crate::replog::ControlState;
 use crate::wire::Message;
 use sagrid_core::ids::{ClusterId, NodeId};
@@ -173,6 +176,249 @@ const TIMER_LIVE: u64 = 1;
 /// How long an accepted client may sit frameless before being reaped.
 const GUEST_PATIENCE: Duration = Duration::from_millis(500);
 
+/// Every decision of a standby, with no socket, clock or thread: the
+/// replication tail, epoch fencing, the silence detector, the election and
+/// the front door's guest reaping. The driver hands it the time with each
+/// input and dials when [`StandbyCore::dial_due`] says so.
+pub(crate) struct StandbyCore {
+    cfg: StandbyConfig,
+    metrics: Metrics,
+    rc: Option<ReplicaCounters>,
+    started: Instant,
+    state: ControlState,
+    epoch: u64,
+    log_offset: u64,
+    /// Where the primary is (the configured one, or an election winner).
+    primary_addr: String,
+    /// The replication link's token, when attached.
+    primary: Option<Token>,
+    /// Deterministic-jitter backoff for redials, seeded from the replica id
+    /// like workers seed theirs from the node id.
+    backoff: Backoff,
+    next_dial: Instant,
+    last_frame: Instant,
+    /// Clients accepted on the front door, by accept time (reaped if they
+    /// never send the Join we are waiting to refuse).
+    guests: BTreeMap<Token, Instant>,
+}
+
+impl StandbyCore {
+    pub(crate) fn new(cfg: &StandbyConfig, metrics: &Metrics, now: Instant) -> StandbyCore {
+        StandbyCore {
+            cfg: cfg.clone(),
+            metrics: metrics.clone(),
+            rc: ReplicaCounters::resolve(metrics),
+            started: now,
+            state: ControlState::default(),
+            epoch: 0,
+            log_offset: 0,
+            primary_addr: cfg.primary.clone(),
+            primary: None,
+            backoff: Backoff::new(
+                Duration::from_millis(50),
+                Duration::from_millis(250),
+                0x5eed_0000 ^ u64::from(cfg.replica_id),
+            ),
+            next_dial: now,
+            last_frame: now,
+            guests: BTreeMap::new(),
+        }
+    }
+
+    /// The address to dial now, if the link is down and the backoff has
+    /// run out. EOF and connect failures are transport blips; only
+    /// heartbeat-timeout silence is death.
+    pub(crate) fn dial_due(&self, now: Instant) -> Option<String> {
+        (self.primary.is_none() && now >= self.next_dial).then(|| self.primary_addr.clone())
+    }
+
+    /// The outcome of the dial [`StandbyCore::dial_due`] asked for.
+    pub(crate) fn on_dial(&mut self, now: Instant, link: Option<Token>, out: &mut dyn Outbox) {
+        let Some(t) = link else {
+            self.next_dial = now + self.backoff.next_delay();
+            return;
+        };
+        self.backoff.reset();
+        self.primary = Some(t);
+        out.send(
+            t,
+            &Message::ReplicaHello {
+                replica: self.cfg.replica_id,
+                addr: self.cfg.advertise.clone(),
+                log_offset: self.log_offset,
+            },
+        );
+    }
+
+    pub(crate) fn on_accept(&mut self, now: Instant, t: Token) {
+        self.guests.insert(t, now);
+    }
+
+    pub(crate) fn on_close(&mut self, now: Instant, t: Token) {
+        self.guests.remove(&t);
+        if self.primary == Some(t) {
+            self.primary = None;
+            self.next_dial = now + self.backoff.next_delay();
+        }
+    }
+
+    /// One decoded frame: from the primary, the replication stream; from
+    /// anyone else, a front-door client to turn away.
+    pub(crate) fn on_frame(
+        &mut self,
+        now: Instant,
+        t: Token,
+        msg: Message,
+        out: &mut dyn Outbox,
+    ) -> Option<StandbyOutcome> {
+        if self.primary != Some(t) {
+            // Refuse a Join explicitly (the refusal drains before the
+            // close), drop everything else.
+            if matches!(msg, Message::Join { .. }) {
+                out.send(
+                    t,
+                    &Message::JoinAck {
+                        node: NodeId(0),
+                        accepted: false,
+                        reason: "standby: not primary".to_string(),
+                    },
+                );
+            }
+            out.close(t);
+            return None;
+        }
+        match msg {
+            // A stale primary answered: fence it off and treat the link as
+            // dead traffic.
+            Message::StateSnapshot { epoch, .. } | Message::StateDelta { epoch, .. }
+                if epoch < self.epoch =>
+            {
+                out.close(t)
+            }
+            Message::StateSnapshot {
+                epoch,
+                log_offset,
+                state,
+            } => {
+                self.last_frame = now;
+                self.epoch = epoch;
+                self.log_offset = log_offset;
+                self.state = ControlState::from_snapshot(&state);
+                if let Some(rc) = &self.rc {
+                    rc.snapshots.inc();
+                }
+                println!(
+                    "EVENT standby attached epoch={epoch} offset={log_offset} digest={:016x}",
+                    self.state.digest()
+                );
+                self.ack(t, out);
+            }
+            Message::StateDelta {
+                epoch,
+                log_offset,
+                op,
+            } => {
+                self.last_frame = now;
+                self.epoch = epoch;
+                self.state.apply(&op);
+                self.log_offset = log_offset + 1;
+                if let Some(rc) = &self.rc {
+                    rc.deltas.inc();
+                }
+                self.ack(t, out);
+            }
+            // The replication keepalive.
+            Message::HubEpoch { epoch, .. } => {
+                if epoch >= self.epoch {
+                    self.last_frame = now;
+                    self.epoch = epoch;
+                }
+            }
+            Message::Shutdown => return Some(StandbyOutcome::Shutdown),
+            // Frames a standby has no business with; ignore.
+            _ => self.last_frame = now,
+        }
+        None
+    }
+
+    fn ack(&self, t: Token, out: &mut dyn Outbox) {
+        let ack = Message::ReplicaAck {
+            replica: self.cfg.replica_id,
+            log_offset: self.log_offset,
+        };
+        if let (true, Some(rc)) = (out.send(t, &ack), &self.rc) {
+            rc.acks.inc();
+        }
+    }
+
+    /// The liveness tick: reaps guests that connected but never spoke,
+    /// and on heartbeat silence runs the election.
+    pub(crate) fn on_tick(&mut self, now: Instant, out: &mut dyn Outbox) -> Option<StandbyOutcome> {
+        self.guests.retain(|&t, &mut at| {
+            let patient = now.duration_since(at) < GUEST_PATIENCE;
+            if !patient {
+                out.close(t);
+            }
+            patient
+        });
+        if now.duration_since(self.last_frame) < self.cfg.heartbeat_timeout {
+            return None;
+        }
+
+        // Heartbeat silence: the primary is dead. Elect over the replicated
+        // standby set (which includes us — the primary logged our
+        // ReplicaJoined).
+        let mut standbys: BTreeSet<u32> = self.state.replicas.keys().copied().collect();
+        standbys.insert(self.cfg.replica_id);
+        let winner = elect_primary(&standbys).expect("standby set contains self");
+        if let Some(rc) = &self.rc {
+            rc.elections.inc();
+        }
+        self.metrics.emit(
+            MetricEvent::new(
+                now.duration_since(self.started).as_micros() as u64,
+                "hub_election",
+            )
+            .with("winner", Value::U64(u64::from(winner)))
+            .with("standbys", Value::U64(standbys.len() as u64))
+            .with("old_epoch", Value::U64(self.epoch)),
+        );
+
+        if winner == self.cfg.replica_id {
+            let epoch = self.epoch + 1;
+            if let Some(rc) = &self.rc {
+                rc.takeovers.inc();
+            }
+            println!(
+                "EVENT takeover epoch={epoch} replica={}",
+                self.cfg.replica_id
+            );
+            return Some(StandbyOutcome::Takeover(Takeover {
+                epoch,
+                state: std::mem::take(&mut self.state),
+                log_offset: self.log_offset,
+            }));
+        }
+
+        // Lost the election: the winner is about to serve on its
+        // advertised address. Re-attach there and keep tailing; reset the
+        // silence clock so the winner gets a full timeout to come up.
+        self.primary_addr = self
+            .state
+            .replicas
+            .get(&winner)
+            .cloned()
+            .unwrap_or_else(|| self.cfg.primary.clone());
+        self.last_frame = now;
+        self.backoff.reset();
+        if let Some(t) = self.primary.take() {
+            out.close(t);
+        }
+        self.next_dial = now;
+        None
+    }
+}
+
 /// Tails the primary until it dies or the deployment shuts down, serving
 /// the standby front door on `listener` the whole time.
 ///
@@ -186,230 +432,38 @@ pub fn run_standby(
     cfg: &StandbyConfig,
     metrics: &Metrics,
 ) -> io::Result<(StandbyOutcome, TcpListener)> {
-    let rc = ReplicaCounters::resolve(metrics);
-    let started = Instant::now();
     let mut reactor = Reactor::with_listener(listener, metrics)?;
-    let mut state = ControlState::default();
-    let mut epoch: u64 = 0;
-    let mut log_offset: u64 = 0;
-    let mut primary_addr = cfg.primary.clone();
-    // Deterministic-jitter backoff for redials, seeded from the replica id
-    // like workers seed theirs from the node id.
-    let mut backoff = Backoff::new(
-        Duration::from_millis(50),
-        Duration::from_millis(250),
-        0x5eed_0000 ^ u64::from(cfg.replica_id),
-    );
-    let mut last_frame = Instant::now();
-    // The replication link's token, when attached.
-    let mut primary: Option<Token> = None;
-    let mut next_dial = Instant::now();
-    // Clients accepted on the front door, by accept time (reaped if they
-    // never send the Join we are waiting to refuse).
-    let mut guests: BTreeMap<Token, Instant> = BTreeMap::new();
-
-    let take_listener = |reactor: &mut Reactor| {
-        reactor
-            .take_listener()
-            .expect("standby reactor owns the listener")
-    };
-
+    let mut core = StandbyCore::new(cfg, metrics, Instant::now());
     reactor.arm_timer(TIMER_LIVE, Instant::now() + cfg.detect_interval);
-    let mut out: Vec<ReactorEvent> = Vec::new();
+    let mut events: Vec<ReactorEvent> = Vec::new();
     loop {
-        // (Re)dial the primary when due. EOF and connect failures are
-        // transport blips; only heartbeat-timeout silence is death.
-        if primary.is_none() && Instant::now() >= next_dial {
-            match reactor.connect(&primary_addr) {
-                Ok(t) => {
-                    backoff.reset();
-                    primary = Some(t);
-                    reactor.send(
-                        t,
-                        &Message::ReplicaHello {
-                            replica: cfg.replica_id,
-                            addr: cfg.advertise.clone(),
-                            log_offset,
-                        },
-                    );
-                }
-                Err(_) => next_dial = Instant::now() + backoff.next_delay(),
-            }
+        if let Some(addr) = core.dial_due(Instant::now()) {
+            let link = reactor.connect(&addr).ok();
+            core.on_dial(Instant::now(), link, &mut reactor);
         }
-
-        reactor.poll(&mut out, cfg.detect_interval)?;
-        for ev in out.drain(..) {
-            match ev {
+        reactor.poll(&mut events, cfg.detect_interval)?;
+        let now = Instant::now();
+        for event in events.drain(..) {
+            let outcome = match event {
                 ReactorEvent::Accepted(t, _) => {
-                    guests.insert(t, Instant::now());
+                    core.on_accept(now, t);
+                    None
                 }
                 ReactorEvent::Closed(t) => {
-                    guests.remove(&t);
-                    if primary == Some(t) {
-                        primary = None;
-                        next_dial = Instant::now() + backoff.next_delay();
-                    }
+                    core.on_close(now, t);
+                    None
                 }
-                ReactorEvent::Frame(t, msg) if primary == Some(t) => match msg {
-                    Message::StateSnapshot {
-                        epoch: e,
-                        log_offset: off,
-                        state: snap,
-                    } => {
-                        if e < epoch {
-                            // A stale primary answered: fence it off and
-                            // treat the link as dead traffic.
-                            reactor.close(t);
-                            continue;
-                        }
-                        last_frame = Instant::now();
-                        epoch = e;
-                        log_offset = off;
-                        state = ControlState::from_snapshot(&snap);
-                        if let Some(rc) = &rc {
-                            rc.snapshots.inc();
-                        }
-                        println!(
-                            "EVENT standby attached epoch={e} offset={off} digest={:016x}",
-                            state.digest()
-                        );
-                        if reactor.send(
-                            t,
-                            &Message::ReplicaAck {
-                                replica: cfg.replica_id,
-                                log_offset,
-                            },
-                        ) {
-                            if let Some(rc) = &rc {
-                                rc.acks.inc();
-                            }
-                        }
-                    }
-                    Message::StateDelta {
-                        epoch: e,
-                        log_offset: off,
-                        op,
-                    } => {
-                        if e < epoch {
-                            reactor.close(t); // stale primary
-                            continue;
-                        }
-                        last_frame = Instant::now();
-                        epoch = e;
-                        state.apply(&op);
-                        log_offset = off + 1;
-                        if let Some(rc) = &rc {
-                            rc.deltas.inc();
-                        }
-                        if reactor.send(
-                            t,
-                            &Message::ReplicaAck {
-                                replica: cfg.replica_id,
-                                log_offset,
-                            },
-                        ) {
-                            if let Some(rc) = &rc {
-                                rc.acks.inc();
-                            }
-                        }
-                    }
-                    Message::HubEpoch { epoch: e, .. } => {
-                        // The replication keepalive.
-                        if e >= epoch {
-                            last_frame = Instant::now();
-                            epoch = e;
-                        }
-                    }
-                    Message::Shutdown => {
-                        return Ok((StandbyOutcome::Shutdown, take_listener(&mut reactor)));
-                    }
-                    _ => {
-                        // Frames a standby has no business with; ignore.
-                        last_frame = Instant::now();
-                    }
-                },
-                // A front-door client: refuse a Join explicitly (the
-                // refusal drains before the close), drop everything else.
-                ReactorEvent::Frame(t, msg) => {
-                    if matches!(msg, Message::Join { .. }) {
-                        reactor.send(
-                            t,
-                            &Message::JoinAck {
-                                node: NodeId(0),
-                                accepted: false,
-                                reason: "standby: not primary".to_string(),
-                            },
-                        );
-                    }
-                    reactor.close(t);
-                }
+                ReactorEvent::Frame(t, msg) => core.on_frame(now, t, msg, &mut reactor),
                 ReactorEvent::Timer(_) => {
-                    // Reap guests that connected but never spoke.
-                    let now = Instant::now();
-                    let stale: Vec<Token> = guests
-                        .iter()
-                        .filter(|(_, at)| now.duration_since(**at) >= GUEST_PATIENCE)
-                        .map(|(t, _)| *t)
-                        .collect();
-                    for t in stale {
-                        guests.remove(&t);
-                        reactor.close(t);
-                    }
-
-                    if last_frame.elapsed() >= cfg.heartbeat_timeout {
-                        // Heartbeat silence: the primary is dead. Elect over
-                        // the replicated standby set (which includes us —
-                        // the primary logged our ReplicaJoined).
-                        let mut standbys: BTreeSet<u32> = state.replicas.keys().copied().collect();
-                        standbys.insert(cfg.replica_id);
-                        let winner = elect_primary(&standbys).expect("standby set contains self");
-                        if let Some(rc) = &rc {
-                            rc.elections.inc();
-                        }
-                        metrics.emit(
-                            MetricEvent::new(started.elapsed().as_micros() as u64, "hub_election")
-                                .with("winner", Value::U64(u64::from(winner)))
-                                .with("standbys", Value::U64(standbys.len() as u64))
-                                .with("old_epoch", Value::U64(epoch)),
-                        );
-
-                        if winner == cfg.replica_id {
-                            let new_epoch = epoch + 1;
-                            if let Some(rc) = &rc {
-                                rc.takeovers.inc();
-                            }
-                            println!(
-                                "EVENT takeover epoch={new_epoch} replica={}",
-                                cfg.replica_id
-                            );
-                            return Ok((
-                                StandbyOutcome::Takeover(Takeover {
-                                    epoch: new_epoch,
-                                    state,
-                                    log_offset,
-                                }),
-                                take_listener(&mut reactor),
-                            ));
-                        }
-
-                        // Lost the election: the winner is about to serve on
-                        // its advertised address. Re-attach there and keep
-                        // tailing; reset the silence clock so the winner
-                        // gets a full timeout to come up.
-                        primary_addr = state
-                            .replicas
-                            .get(&winner)
-                            .cloned()
-                            .unwrap_or_else(|| cfg.primary.clone());
-                        last_frame = Instant::now();
-                        backoff.reset();
-                        if let Some(t) = primary.take() {
-                            reactor.close(t);
-                        }
-                        next_dial = Instant::now();
-                    }
-                    reactor.arm_timer(TIMER_LIVE, Instant::now() + cfg.detect_interval);
+                    reactor.arm_timer(TIMER_LIVE, now + cfg.detect_interval);
+                    core.on_tick(now, &mut reactor)
                 }
+            };
+            if let Some(outcome) = outcome {
+                let listener = reactor
+                    .take_listener()
+                    .expect("standby reactor owns the listener");
+                return Ok((outcome, listener));
             }
         }
     }

@@ -1,9 +1,11 @@
 //! Replication log and materialised control-plane state.
 //!
-//! The primary hub appends one [`ReplicaOp`] to its [`RepLog`] for every
-//! control-plane transition (join, leave, death, blacklist, peer-directory
-//! change, learned-bandwidth update, replica attach) and fans the op out to
-//! every attached standby as a [`crate::wire::Message::StateDelta`]. A
+//! The primary hub applies one [`ReplicaOp`] for every control-plane
+//! transition (join, leave, death, blacklist, peer-directory change,
+//! learned-bandwidth update, replica attach), gives it the next log offset
+//! and fans it out to every attached standby as a
+//! [`crate::wire::Message::StateDelta`]. Ops are not retained: a standby
+//! that attaches late gets a snapshot at the current offset instead. A
 //! standby materialises the stream into a [`ControlState`] — byte-equivalent
 //! to the primary's own copy by construction, because the primary applies
 //! every op through the *same* [`ControlState::apply`] before broadcasting
@@ -232,55 +234,6 @@ impl ControlState {
     }
 }
 
-/// The primary's replication log: a monotonically increasing offset per
-/// appended op and per-replica acknowledgement high-water marks. Ops are
-/// not retained — a late-attaching replica gets a fresh snapshot at the
-/// current offset instead of a history replay.
-#[derive(Clone, Debug)]
-pub struct RepLog {
-    next_offset: u64,
-    acked: BTreeMap<u32, u64>,
-}
-
-impl RepLog {
-    /// An empty log at offset 0.
-    pub fn new() -> RepLog {
-        RepLog {
-            next_offset: 0,
-            acked: BTreeMap::new(),
-        }
-    }
-
-    /// Records one appended op and returns its offset.
-    pub fn append(&mut self) -> u64 {
-        let off = self.next_offset;
-        self.next_offset += 1;
-        off
-    }
-
-    /// Offset the next op will get (== number of ops appended so far).
-    pub fn offset(&self) -> u64 {
-        self.next_offset
-    }
-
-    /// Records a replica's acknowledgement high-water mark.
-    pub fn ack(&mut self, replica: u32, offset: u64) {
-        let e = self.acked.entry(replica).or_insert(0);
-        *e = (*e).max(offset);
-    }
-
-    /// The highest offset a replica has acknowledged (0 if never).
-    pub fn acked(&self, replica: u32) -> u64 {
-        self.acked.get(&replica).copied().unwrap_or(0)
-    }
-}
-
-impl Default for RepLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,17 +357,5 @@ mod tests {
         }
         assert_eq!(MemberPhase::from_byte(4), None);
         assert_eq!(MemberPhase::from_byte(0xff), None);
-    }
-
-    #[test]
-    fn replog_offsets_are_monotonic_and_acks_high_water() {
-        let mut log = RepLog::new();
-        assert_eq!(log.append(), 0);
-        assert_eq!(log.append(), 1);
-        assert_eq!(log.offset(), 2);
-        log.ack(3, 1);
-        log.ack(3, 0); // stale ack never regresses the mark
-        assert_eq!(log.acked(3), 1);
-        assert_eq!(log.acked(9), 0);
     }
 }

@@ -7,11 +7,15 @@
 //! (must be declared dead and blacklisted) and a launcher-driven grow roll
 //! through while the launcher asserts the hub's OS thread count stays flat
 //! — independent of connection count — and the teardown leaves no orphans.
+//! Every worker announces a steal listener, so the same waves drive the
+//! hub's peer directory at scale: a survivor's newest snapshot must track
+//! the live fleet, and no broadcast may overflow a write queue.
 //! Scripted because the scenario format has no synthetic-swarm primitive.
 
 use crate::harness::{HubGeometry, LocalGrid, WorkerArgs};
 use crate::{Checks, Failure};
 use sagrid_core::ids::{ClusterId, NodeId};
+use sagrid_core::json::parse_json;
 use sagrid_core::metrics::Metrics;
 use sagrid_net::wire::Message;
 use sagrid_net::{Reactor, ReactorEvent, Token};
@@ -21,10 +25,11 @@ use std::time::{Duration, Instant};
 
 /// A swarm of protocol-complete synthetic workers multiplexed on ONE
 /// client-side [`Reactor`] — the only way to put thousands of concurrent
-/// workers in front of the hub on a single box. Each client joins, holds
-/// an ~800ms heartbeat cadence (sharded so every turn sends 1/8th of the
-/// beats), and is individually disconnectable/reclaimable, which is what
-/// the churn and crash waves need.
+/// workers in front of the hub on a single box. Each client joins,
+/// announces a steal listener, holds an ~800ms heartbeat cadence (sharded
+/// so every turn sends 1/8th of the beats), and is individually
+/// disconnectable/reclaimable, which is what the churn and crash waves
+/// need.
 struct Swarm {
     reactor: Reactor,
     /// Connection → the node id the hub granted (`None` until the
@@ -40,6 +45,11 @@ struct Swarm {
     /// Connections the *hub* dropped without us asking — must stay zero:
     /// a healthy hub never hangs up on a live, heartbeating worker.
     unexpected_closes: u64,
+    /// The one client whose peer directories are kept (decoding is paid
+    /// for every client anyway; keeping them all is not).
+    witness: Option<Token>,
+    /// Node ids in the newest `PeerDirectory` the witness received.
+    witness_dir: BTreeSet<u32>,
     ev: Vec<ReactorEvent>,
     hb_pass: u64,
     last_hb: Instant,
@@ -56,6 +66,8 @@ impl Swarm {
             refusals: Vec::new(),
             expect_close: BTreeSet::new(),
             unexpected_closes: 0,
+            witness: None,
+            witness_dir: BTreeSet::new(),
             ev: Vec::new(),
             hb_pass: 0,
             last_hb: Instant::now(),
@@ -126,13 +138,24 @@ impl Swarm {
                             *granted = Some(node.0);
                         }
                         self.accepted += 1;
+                        // Like `sagrid-worker` after every join and
+                        // claim-rejoin; the address (TEST-NET-1) is never
+                        // dialled, it only puts the fleet in the directory.
+                        let steal_addr = format!("192.0.2.1:{}", node.0);
+                        self.reactor
+                            .send(t, &Message::PeerAnnounce { node, steal_addr });
                     } else {
                         self.refusals.push(reason);
                         self.drop_client(t);
                     }
                 }
-                // Epoch stamps and peer directories are protocol-legal
-                // noise for a swarm that runs no steal plane.
+                ReactorEvent::Frame(t, Message::PeerDirectory { peers })
+                    if self.witness == Some(t) =>
+                {
+                    self.witness_dir = peers.iter().map(|p| p.node.0).collect();
+                }
+                // Epoch stamps and everyone else's peer directories are
+                // protocol-legal noise for a swarm that runs no steal plane.
                 ReactorEvent::Frame(..) => {}
                 ReactorEvent::Closed(t) => {
                     if !self.expect_close.remove(&t) && self.clients.remove(&t).is_some() {
@@ -257,6 +280,9 @@ pub fn run(
             swarm.refusals.len()
         ),
     );
+    // The last client to join is neither churned nor crashed below (both
+    // waves take the lowest tokens): it watches the directory.
+    swarm.witness = swarm.joined(usize::MAX).last().map(|&(t, _)| t);
 
     // The tentpole number: thousands of live connections, a flat hub
     // thread count.
@@ -386,6 +412,21 @@ pub fn run(
             swarm.unexpected_closes
         ),
     );
+    let live: BTreeSet<u32> = swarm.clients.values().flatten().copied().collect();
+    let dir = &swarm.witness_dir;
+    let grown: BTreeSet<u32> = grants.iter().map(|&(n, _)| n).collect();
+    checks.assert(
+        *dir == live,
+        &format!(
+            "a survivor's newest peer directory lists exactly the {} live announced workers \
+             ({} listed; {} crash victims still in it, {} of {} grow claimants missing)",
+            live.len(),
+            dir.len(),
+            dir.intersection(&dead_ids).count(),
+            grown.difference(dir).count(),
+            grown.len()
+        ),
+    );
 
     // --- Teardown: farewells, shutdown, orphan sweep ----------------------
     for (t, n) in swarm.joined(usize::MAX) {
@@ -403,6 +444,19 @@ pub fn run(
     checks.assert(
         body.contains("net.reactor.accepts") && body.contains("net.reactor.loop_latency_us"),
         "hub metrics JSONL carries the net.reactor.* instruments",
+    );
+    // A full write queue drops the frame: every worker must have been
+    // sent every directory broadcast, the teardown's included.
+    let drops = body
+        .lines()
+        .filter_map(|line| parse_json(line).ok())
+        .find(|v| v.get("name").and_then(|n| n.as_str()) == Some("net.reactor.backpressure_drops"))
+        .and_then(|v| v.get("value").and_then(|v| v.as_u64()));
+    checks.assert(
+        drops == Some(0),
+        &format!(
+            "the hub dropped no frame to backpressure (net.reactor.backpressure_drops={drops:?})"
+        ),
     );
 
     Ok(checks)

@@ -18,7 +18,7 @@
 //! queues, maps each reactor event onto one core call, and re-arms the
 //! failure-detection and directory timers. Thread count is independent of
 //! worker count, and peer-directory broadcasts are coalesced onto a timer
-//! instead of firing per announce.
+//! instead of firing per announce, leave or death.
 //!
 //! A deliberately subtle point: an *unexpected connection close is not a
 //! death*. SIGKILL closes the victim's socket immediately, long before any
@@ -155,11 +155,14 @@ pub(crate) struct HubCore {
     pending_grants: Vec<(NodeId, ClusterId)>,
     /// Steal-plane peer directory: node → where its steal listener is.
     /// Populated by `PeerAnnounce`, pruned on leave/death. Broadcasts are
-    /// coalesced: changes mark the directory dirty and the directory tick
-    /// pushes one snapshot for however many changes accumulated (a
-    /// 5,000-worker join wave must not trigger 5,000 full broadcasts).
+    /// coalesced: every change — join wave, churn, crash sweep — marks the
+    /// directory dirty and the directory tick pushes one snapshot for
+    /// however many changes accumulated.
     peer_dir: BTreeMap<NodeId, PeerInfo>,
     dir_dirty: bool,
+    /// Peers announced since the last broadcast: the only entries whose
+    /// removal must flush first (see `prune_peer`).
+    unwitnessed: BTreeSet<NodeId>,
     /// The primary's own materialised copy of the replicated state, and
     /// the hub's only copy of both blacklists: a blacklist entry exists
     /// exactly when its op was replicated.
@@ -207,6 +210,7 @@ impl HubCore {
             pending_grants: Vec::new(),
             peer_dir: BTreeMap::new(),
             dir_dirty: false,
+            unwitnessed: BTreeSet::new(),
             control: ControlState::default(),
             log_offset: 0,
             replicas: BTreeMap::new(),
@@ -332,7 +336,11 @@ impl HubCore {
         for dead in self.membership.detect_failures(now) {
             let cluster = self.membership.cluster_of(dead).unwrap_or(ClusterId(0));
             self.pool.mark_lost(dead);
-            self.node_conn.remove(&dead);
+            // Like a farewell, a death takes the worker role away: a late
+            // frame on the dead node's still-open socket speaks for nobody.
+            if let Some(t) = self.node_conn.remove(&dead) {
+                self.roles.insert(t, Role::Unknown);
+            }
             self.prune_peer(dead, out);
             self.replicate(ReplicaOp::Death { node: dead }, out);
             self.replicate(ReplicaOp::BlacklistNode { node: dead }, out);
@@ -389,17 +397,19 @@ impl HubCore {
             } if role == Role::Worker(report.node) => self.report(report, bench_micros, out),
             Message::Leaving { node } if role == Role::Worker(node) => self.leave(id, node, out),
             Message::PeerAnnounce { node, steal_addr } if role == Role::Worker(node) => {
-                let cluster = self.pool.cluster_of(node);
-                self.peer_dir.insert(
+                let info = PeerInfo {
                     node,
-                    PeerInfo {
-                        node,
-                        cluster,
-                        steal_addr,
-                    },
-                );
-                self.dir_dirty = true;
-                println!("EVENT peers {}", self.peer_dir.len());
+                    cluster: self.pool.cluster_of(node),
+                    steal_addr,
+                };
+                // A re-announce of what the directory already holds (every
+                // worker re-announces after a failover) changes nothing.
+                if self.peer_dir.get(&node) != Some(&info) {
+                    self.peer_dir.insert(node, info);
+                    self.unwitnessed.insert(node);
+                    self.dir_dirty = true;
+                    println!("EVENT peers {}", self.peer_dir.len());
+                }
             }
             Message::CoordinatorHello => {
                 self.roles.insert(id, Role::Coordinator);
@@ -790,21 +800,24 @@ impl HubCore {
         }
     }
 
-    /// Drops a departed node from the peer directory. The pending
-    /// broadcast goes out first: an announce and a leave landing in the
-    /// same coalescing window must not cancel out invisibly — every
-    /// addition is witnessable in at least one snapshot before its removal
-    /// is broadcast.
+    /// Drops a departed node from the peer directory; the removal goes out
+    /// with the next directory tick, within one directory interval. Every
+    /// addition must be witnessable in a snapshot before its removal is
+    /// broadcast, so only a node whose announce no broadcast has carried
+    /// yet flushes the pending snapshot first: an announce and a leave in
+    /// one coalescing window must not cancel out invisibly.
     fn prune_peer(&mut self, node: NodeId, out: &mut dyn Outbox) {
-        if self.peer_dir.contains_key(&node) {
+        if self.unwitnessed.contains(&node) {
             self.flush_directory(out);
-            self.peer_dir.remove(&node);
+        }
+        if self.peer_dir.remove(&node).is_some() {
             self.dir_dirty = true;
         }
     }
 
     /// Pushes the pending coalesced directory broadcast to every connected
-    /// worker, and replicates it. Full snapshots rather than deltas: a
+    /// worker, and replicates it: at most once per directory tick, plus
+    /// once per unwitnessed prune. Full snapshots rather than deltas: a
     /// snapshot is idempotent, so a lost or reordered broadcast heals on
     /// the next directory change instead of leaving a worker with a
     /// permanently stale view.
@@ -812,6 +825,7 @@ impl HubCore {
         if !std::mem::take(&mut self.dir_dirty) {
             return;
         }
+        self.unwitnessed.clear();
         let dir = Message::PeerDirectory {
             peers: self.peer_dir.values().cloned().collect(),
         };
@@ -1022,8 +1036,21 @@ mod tests {
         }
 
         fn seeded(metrics: &Metrics, takeover: Option<(Takeover, u32)>) -> Rig {
+            Rig::with(&cfg(), metrics, takeover)
+        }
+
+        /// A fresh primary over two clusters of `nodes_per_cluster` ids.
+        fn sized(nodes_per_cluster: usize) -> Rig {
+            let cfg = HubConfig {
+                nodes_per_cluster,
+                ..cfg()
+            };
+            Rig::with(&cfg, &Metrics::disabled(), None)
+        }
+
+        fn with(cfg: &HubConfig, metrics: &Metrics, takeover: Option<(Takeover, u32)>) -> Rig {
             Rig {
-                hub: HubCore::new(&cfg(), metrics, takeover, ms(0)),
+                hub: HubCore::new(cfg, metrics, takeover, ms(0)),
                 out: Recorder::default(),
                 next: 100,
             }
@@ -1069,6 +1096,17 @@ mod tests {
 
         fn worker(&mut self, cluster: u16) -> (Token, NodeId) {
             self.join(ms(0), cluster, None).expect("fresh join")
+        }
+
+        /// A fresh worker that has announced its steal listener.
+        fn announced(&mut self, cluster: u16) -> (Token, NodeId) {
+            let (t, node) = self.worker(cluster);
+            self.send(ms(0), t, announce(node));
+            (t, node)
+        }
+
+        fn dir_tick(&mut self) {
+            self.hub.on_dir_tick(&mut self.out);
         }
 
         fn detect(&mut self, at: SimTime) {
@@ -1119,6 +1157,34 @@ mod tests {
         msgs.into_iter()
             .filter_map(|m| match m {
                 Message::StateDelta { op, .. } => Some(op),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn announce(node: NodeId) -> Message {
+        Message::PeerAnnounce {
+            node,
+            steal_addr: format!("127.0.0.1:{}", 9000 + node.0),
+        }
+    }
+
+    /// The `PeerDirectory` snapshots among `msgs`, in order.
+    fn directories(msgs: Vec<Message>) -> Vec<Vec<PeerInfo>> {
+        msgs.into_iter()
+            .filter_map(|m| match m {
+                Message::PeerDirectory { peers } => Some(peers),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The replicated `PeerDir` ops among `msgs`, in order.
+    fn replicated_dirs(msgs: Vec<Message>) -> Vec<Vec<PeerInfo>> {
+        ops(msgs)
+            .into_iter()
+            .filter_map(|op| match op {
+                ReplicaOp::PeerDir { peers } => Some(peers),
                 _ => None,
             })
             .collect()
@@ -1311,6 +1377,108 @@ mod tests {
             })
             .collect();
         assert_eq!(replicated, [vec![a], vec![a, b], vec![a]]);
+    }
+
+    // --- Broadcast budget: one directory snapshot per tick, however many
+    // membership changes it covers.
+
+    #[test]
+    fn churn_between_ticks_costs_one_broadcast_at_the_tick() {
+        let mut rig = Rig::sized(136);
+        let standby = rig.hello(replica_hello(1));
+        let members: Vec<(Token, NodeId)> = (0..256).map(|i| rig.announced(i % 2)).collect();
+        rig.dir_tick();
+        rig.out.sent.clear();
+        let (witness, _) = members[255];
+        // 16 × (a flushed member leaves, a fresh worker joins and
+        // announces), all inside one coalescing window.
+        for (i, &(t, node)) in members[..16].iter().enumerate() {
+            rig.send(ms(0), t, Message::Leaving { node });
+            rig.announced(i as u16 % 2);
+        }
+        assert!(directories(rig.out.take(witness)).is_empty());
+        assert!(replicated_dirs(rig.out.take(standby)).is_empty());
+
+        rig.dir_tick();
+        let dir: Vec<PeerInfo> = rig.hub.peer_dir.values().cloned().collect();
+        assert_eq!(dir.len(), 256);
+        assert_eq!(
+            directories(rig.out.take(witness)),
+            std::slice::from_ref(&dir)
+        );
+        assert_eq!(replicated_dirs(rig.out.take(standby)), [dir]);
+    }
+
+    #[test]
+    fn a_crash_sweep_costs_one_broadcast_at_the_tick() {
+        let mut rig = Rig::sized(20);
+        let standby = rig.hello(replica_hello(1));
+        let (witness, w) = rig.announced(0);
+        let doomed: Vec<NodeId> = (0..32).map(|i| rig.announced(i % 2).1).collect();
+        rig.dir_tick();
+        rig.out.sent.clear();
+        rig.send(ms(1_000), witness, Message::Heartbeat { node: w });
+        rig.detect(ms(1_100));
+        let blacklist = &rig.hub.control.blacklisted_nodes;
+        assert!(doomed.iter().all(|n| blacklist.contains(n)));
+        assert!(directories(rig.out.take(witness)).is_empty());
+        assert!(replicated_dirs(rig.out.take(standby)).is_empty());
+
+        rig.dir_tick();
+        let dir = vec![rig.hub.peer_dir[&w].clone()];
+        assert_eq!(
+            directories(rig.out.take(witness)),
+            std::slice::from_ref(&dir)
+        );
+        assert_eq!(replicated_dirs(rig.out.take(standby)), [dir]);
+    }
+
+    #[test]
+    fn only_a_changed_reannounce_is_broadcast() {
+        let mut rig = Rig::new();
+        let standby = rig.hello(replica_hello(1));
+        let (wa, a) = rig.announced(0);
+        rig.dir_tick();
+        rig.out.sent.clear();
+        rig.send(ms(0), wa, announce(a));
+        rig.dir_tick();
+        assert!(directories(rig.out.take(wa)).is_empty());
+        assert!(replicated_dirs(rig.out.take(standby)).is_empty());
+
+        let steal_addr = "127.0.0.1:9999".to_string();
+        let moved = Message::PeerAnnounce {
+            node: a,
+            steal_addr: steal_addr.clone(),
+        };
+        rig.send(ms(0), wa, moved);
+        rig.dir_tick();
+        let dir = vec![PeerInfo {
+            node: a,
+            cluster: ClusterId(0),
+            steal_addr,
+        }];
+        assert_eq!(directories(rig.out.take(wa)), std::slice::from_ref(&dir));
+        assert_eq!(replicated_dirs(rig.out.take(standby)), [dir]);
+    }
+
+    #[test]
+    fn a_dead_nodes_open_socket_cannot_put_it_back_in_the_directory() {
+        let mut rig = Rig::new();
+        let (ww, w) = rig.announced(0);
+        let (wa, a) = rig.announced(0);
+        rig.dir_tick();
+        rig.out.sent.clear();
+        // A falls silent but its socket stays open; W keeps beating.
+        rig.send(ms(1_000), ww, Message::Heartbeat { node: w });
+        rig.detect(ms(1_100));
+        assert!(rig.hub.control.blacklisted_nodes.contains(&a));
+        rig.send(ms(1_100), wa, announce(a));
+        rig.dir_tick();
+
+        let dirs = directories(rig.out.take(ww));
+        assert!(!dirs.is_empty());
+        assert!(dirs.iter().flatten().all(|p| p.node != a), "{dirs:?}");
+        assert!(!rig.hub.control.peers.contains_key(&a));
     }
 
     #[test]
@@ -1580,18 +1748,88 @@ mod tests {
         }
     }
 
+    /// The fuzz's two observers: a standby replaying snapshot + deltas,
+    /// and a worker witnessing directory broadcasts.
+    struct Observers {
+        standby: Token,
+        replayed: ControlState,
+        next_offset: u64,
+        witness: Token,
+        /// Directory entries no broadcast to the witness has carried yet.
+        /// An entry its own node re-announces with a new address before
+        /// any broadcast is superseded, not removed: the newer one must be
+        /// carried instead.
+        unseen: BTreeMap<NodeId, PeerInfo>,
+        prev_dir: BTreeMap<NodeId, PeerInfo>,
+        newest: Vec<PeerInfo>,
+    }
+
+    impl Observers {
+        /// Takes in what one step sent the observers, and checks that no
+        /// directory entry was removed before a broadcast carried it.
+        fn absorb(&mut self, rig: &mut Rig, seed: u64) {
+            for m in rig.out.take(self.standby) {
+                match m {
+                    Message::StateSnapshot {
+                        log_offset, state, ..
+                    } => {
+                        self.replayed = ControlState::from_snapshot(&state);
+                        self.next_offset = log_offset;
+                    }
+                    Message::StateDelta { log_offset, op, .. } => {
+                        assert_eq!(log_offset, self.next_offset, "seed {seed}: offset gap");
+                        self.replayed.apply(&op);
+                        self.next_offset += 1;
+                    }
+                    _ => {}
+                }
+            }
+            for (node, p) in &rig.hub.peer_dir {
+                if self.prev_dir.get(node) != Some(p) {
+                    self.unseen.insert(*node, p.clone());
+                }
+            }
+            for dir in directories(rig.out.take(self.witness)) {
+                for p in &dir {
+                    if self.unseen.get(&p.node) == Some(p) {
+                        self.unseen.remove(&p.node);
+                    }
+                }
+                self.newest = dir;
+            }
+            assert!(
+                self.unseen.keys().all(|n| rig.hub.peer_dir.contains_key(n)),
+                "seed {seed}: pruned before any broadcast carried it: {:?}",
+                self.unseen
+            );
+            self.prev_dir = rig.hub.peer_dir.clone();
+        }
+    }
+
     /// One seed: the observer standby attaches first and replays what it
-    /// is sent into its own state, which must end equal to the hub's.
+    /// is sent into its own state, which must end equal to the hub's. The
+    /// witness worker joins next and never leaves: every directory entry
+    /// reaches it before its removal does, and after a final tick its
+    /// newest snapshot is the hub's directory.
     fn fuzz_one(seed: u64, steps: usize) {
         let mut rng = Xoshiro256StarStar::seeded(seed);
         let mut rig = Rig::new();
-        let observer = rig.hello(replica_hello(99));
-        let mut replayed = ControlState::default();
-        let mut next_offset = 0;
+        let standby = rig.hello(replica_hello(99));
+        let (witness, wnode) = rig.worker(0);
+        let mut obs = Observers {
+            standby,
+            replayed: ControlState::default(),
+            next_offset: 0,
+            witness,
+            unseen: BTreeMap::new(),
+            prev_dir: BTreeMap::new(),
+            newest: Vec::new(),
+        };
         let mut conns: Vec<Token> = (0..8).map(|_| rig.conn()).collect();
         let mut now = 0;
         for _ in 0..steps {
             now += rng.gen_range(60);
+            rig.send(ms(now), witness, Message::Heartbeat { node: wnode });
             let i = rng.gen_index(conns.len());
             let t = conns[i];
             let stop = match rng.gen_range(24) {
@@ -1613,8 +1851,12 @@ mod tests {
                         Some(&Role::Worker(n)) => Some(n),
                         _ => None,
                     };
-                    let frame = any_frame(&mut rng, own);
-                    rig.send(ms(now), t, frame)
+                    match any_frame(&mut rng, own) {
+                        // A reconnect claiming the witness's id would take
+                        // its broadcasts away.
+                        Message::Join { claim: Some(n), .. } if n == wnode => None,
+                        frame => rig.send(ms(now), t, frame),
+                    }
                 }
             };
             for (_, m) in &rig.out.sent {
@@ -1630,29 +1872,28 @@ mod tests {
                     );
                 }
             }
-            for m in rig.out.take(observer) {
-                match m {
-                    Message::StateSnapshot {
-                        log_offset, state, ..
-                    } => {
-                        replayed = ControlState::from_snapshot(&state);
-                        next_offset = log_offset;
-                    }
-                    Message::StateDelta { log_offset, op, .. } => {
-                        assert_eq!(log_offset, next_offset, "seed {seed}: offset gap");
-                        replayed.apply(&op);
-                        next_offset += 1;
-                    }
-                    _ => {}
-                }
-            }
+            obs.absorb(&mut rig, seed);
             rig.out.sent.clear();
             if stop.is_some() {
                 break;
             }
         }
-        assert_eq!(next_offset, rig.hub.log_offset, "seed {seed}");
-        assert_eq!(replayed.digest(), rig.hub.control.digest(), "seed {seed}");
+        rig.dir_tick();
+        obs.absorb(&mut rig, seed);
+        assert_eq!(obs.next_offset, rig.hub.log_offset, "seed {seed}");
+        assert_eq!(
+            obs.replayed.digest(),
+            rig.hub.control.digest(),
+            "seed {seed}"
+        );
+        let dir: Vec<PeerInfo> = rig.hub.peer_dir.values().cloned().collect();
+        assert_eq!(obs.newest, dir, "seed {seed}");
+        assert_eq!(rig.hub.control.peers, rig.hub.peer_dir, "seed {seed}");
+        assert!(
+            rig.hub.peer_dir.keys().all(|&n| rig.hub.is_live(n)),
+            "seed {seed}: a departed node is in the directory: {:?}",
+            rig.hub.peer_dir.keys()
+        );
     }
 
     #[test]

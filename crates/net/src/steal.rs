@@ -23,7 +23,7 @@
 //! inter-cluster-communication input becomes a real wire quantity in
 //! process mode instead of an emulated delay.
 
-use crate::wire::{recv_message, send_message, Message, PeerInfo, StealJob};
+use crate::wire::{recv_message, send_frame, send_message, Message, PeerInfo, StealJob};
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::metrics::{Counter, Histogram, Metrics};
 use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
@@ -69,13 +69,24 @@ struct Exported {
     since: Instant,
 }
 
+/// A job handed to a thief: its id and the framed `StealReply` carrying it.
+struct Handout {
+    #[cfg_attr(not(test), allow(dead_code))] // the server needs only the frame
+    id: u64,
+    frame: Vec<u8>,
+}
+
 #[derive(Default)]
 struct PoolState {
+    /// Also the number of jobs ever offered.
     next_id: u64,
-    offered: u64,
     pending: VecDeque<(u64, Vec<u8>)>,
     exported: BTreeMap<u64, Exported>,
-    done: BTreeSet<u64>,
+    /// Every id below `done_below` is counted; `done_above` holds the
+    /// counted ids past it, i.e. results that overtook an older job.
+    done_below: u64,
+    done_above: BTreeSet<u64>,
+    completed: u64,
     sum: u64,
 }
 
@@ -123,25 +134,28 @@ impl ExportPool {
         let mut s = self.state.lock().expect("pool poisoned");
         let id = s.next_id;
         s.next_id += 1;
-        s.offered += 1;
         s.pending.push_back((id, payload));
         id
     }
 
     /// Hands one pending job to a thief, marking it exported as of now.
-    pub fn take_for_thief(&self) -> Option<StealJob> {
+    /// The reply is framed from the job and the payload then moved into
+    /// the exported set, so its one copy is the one onto the wire; a reply
+    /// that fails to send is still exported and comes back by staleness.
+    fn take_for_thief(&self) -> Option<Handout> {
         let mut s = self.state.lock().expect("pool poisoned");
         // Thieves take from the back, the owner from the front — the same
         // ends-apart discipline as an in-process work-stealing deque.
         let (id, payload) = s.pending.pop_back()?;
-        s.exported.insert(
-            id,
-            Exported {
-                payload: payload.clone(),
-                since: Instant::now(),
-            },
-        );
-        Some(StealJob { id, payload })
+        let job = Some(StealJob { id, payload });
+        let reply = Message::StealReply { job };
+        let frame = reply.frame();
+        let Message::StealReply { job: Some(job) } = reply else {
+            unreachable!("built above")
+        };
+        let (payload, since) = (job.payload, Instant::now());
+        s.exported.insert(id, Exported { payload, since });
+        Some(Handout { id, frame })
     }
 
     /// Takes one pending job for local execution by the owner. The caller
@@ -155,18 +169,26 @@ impl ExportPool {
     /// reclaimed job raced its original thief) return `false` and are not
     /// added to the sum. Unknown ids return `false`.
     pub fn complete(&self, id: u64, value: u64) -> bool {
-        let mut s = self.state.lock().expect("pool poisoned");
-        if id >= s.next_id || s.done.contains(&id) {
+        let s = &mut *self.state.lock().expect("pool poisoned");
+        if id >= s.next_id || id < s.done_below || !s.done_above.insert(id) {
             return false;
         }
-        s.done.insert(id);
+        while s.done_above.remove(&s.done_below) {
+            s.done_below += 1;
+        }
+        s.completed += 1;
         s.sum += value;
-        s.exported.remove(&id);
-        s.pending.retain(|(i, _)| *i != id);
+        // Only a job the owner took, or one re-pended by `reclaim_stale`,
+        // can still be queued; a thief's result settles an exported one.
+        if s.exported.remove(&id).is_none() {
+            if let Some(at) = s.pending.iter().position(|(i, _)| *i == id) {
+                s.pending.remove(at);
+            }
+        }
         true
     }
 
-    /// Re-pends every job exported longer than `max_age` ago without a
+    /// Re-pends every job exported at least `max_age` ago without a
     /// result — the thief is presumed dead; if its result shows up later
     /// anyway, first-result-wins drops the duplicate. Returns how many
     /// jobs were reclaimed.
@@ -176,7 +198,7 @@ impl ExportPool {
         let stale: Vec<u64> = s
             .exported
             .iter()
-            .filter(|(_, e)| now.duration_since(e.since) > max_age)
+            .filter(|(_, e)| now.duration_since(e.since) >= max_age)
             .map(|(id, _)| *id)
             .collect();
         for id in &stale {
@@ -189,7 +211,7 @@ impl ExportPool {
     /// Whether every offered job has a counted result.
     pub fn is_done(&self) -> bool {
         let s = self.state.lock().expect("pool poisoned");
-        s.done.len() as u64 == s.offered
+        s.completed == s.next_id
     }
 
     /// Sum of all counted results (the root value once [`is_done`]).
@@ -203,8 +225,8 @@ impl ExportPool {
     pub fn snapshot(&self) -> PoolSnapshot {
         let s = self.state.lock().expect("pool poisoned");
         PoolSnapshot {
-            offered: s.offered,
-            completed: s.done.len() as u64,
+            offered: s.next_id,
+            completed: s.completed,
             pending: s.pending.len() as u64,
             exported: s.exported.len() as u64,
         }
@@ -235,18 +257,16 @@ pub fn spawn_steal_server(
                     .spawn(move || {
                         let _ = stream.set_nodelay(true);
                         let mut r = &stream;
+                        let dry = Message::StealReply { job: None }.frame();
                         loop {
                             match recv_message(&mut r) {
                                 Ok(Some(Message::StealRequest { .. })) => {
                                     let job = pool.take_for_thief();
-                                    if job.is_some() {
-                                        if let Some(c) = &served {
-                                            c.inc();
-                                        }
+                                    if let (Some(c), Some(_)) = (&served, &job) {
+                                        c.inc();
                                     }
-                                    if send_message(&mut (&stream), &Message::StealReply { job })
-                                        .is_err()
-                                    {
+                                    let frame = job.as_ref().map_or(&dry, |j| &j.frame);
+                                    if send_frame(&mut r, frame).is_err() {
                                         break;
                                     }
                                 }
@@ -264,13 +284,23 @@ pub fn spawn_steal_server(
     Ok(addr)
 }
 
+/// The thief's directory snapshot, rebuilt on each update and shared by
+/// every steal until the next: all peers but the thief, same-cluster
+/// peers (`peers[..local]`) first, each tier in directory order.
+#[derive(Default)]
+struct Victims {
+    peers: Vec<PeerInfo>,
+    local: usize,
+}
+
 /// The thief side: a CRS victim selector over the hub-fed peer directory,
 /// with one cached connection per victim.
 pub struct StealClient {
     me: NodeId,
     cluster: ClusterId,
-    directory: Mutex<Vec<PeerInfo>>,
-    conns: Mutex<HashMap<NodeId, TcpStream>>,
+    dir: Mutex<Arc<Victims>>,
+    /// Each victim's connection and the address it was dialled at.
+    conns: Mutex<HashMap<NodeId, (String, TcpStream)>>,
     rng: Mutex<Xoshiro256StarStar>,
     sm: Option<StealMetrics>,
     /// Reply wait bound per victim, so a stuck victim cannot park the
@@ -289,7 +319,7 @@ impl StealClient {
         Self {
             me,
             cluster,
-            directory: Mutex::new(Vec::new()),
+            dir: Mutex::default(),
             conns: Mutex::new(HashMap::new()),
             rng: Mutex::new(Xoshiro256StarStar::seeded(
                 0x57EA1 ^ u64::from(me.0).wrapping_mul(0x9E3779B97F4A7C15),
@@ -301,17 +331,30 @@ impl StealClient {
         }
     }
 
-    /// Replaces the peer directory with a hub snapshot and lifts the dry
-    /// backoff (new peers mean new chances).
+    /// Replaces the peer directory with a hub snapshot, closes cached
+    /// connections to peers that left it or moved to another address, and
+    /// lifts the dry backoff (new peers mean new chances).
     pub fn update_directory(&self, mut peers: Vec<PeerInfo>) {
         peers.retain(|p| p.node != self.me);
-        *self.directory.lock().expect("directory poisoned") = peers;
+        // A stable partition keeps each tier in directory order, so a seed
+        // draws the same victims as a filter over the directory would.
+        let mut far = Vec::with_capacity(peers.len());
+        far.extend(peers.extract_if(.., |p| p.cluster != self.cluster));
+        let local = peers.len();
+        peers.append(&mut far);
+        let mut conns = self.conns.lock().expect("conns poisoned");
+        if !conns.is_empty() {
+            let mut live: Vec<_> = peers.iter().map(|p| (p.node, &*p.steal_addr)).collect();
+            live.sort_unstable();
+            conns.retain(|node, (addr, _)| live.binary_search(&(*node, &**addr)).is_ok());
+        }
+        *self.dir.lock().expect("directory poisoned") = Arc::new(Victims { peers, local });
         *self.retry_after.lock().expect("retry poisoned") = Instant::now();
     }
 
     /// Number of known peers.
     pub fn peers(&self) -> usize {
-        self.directory.lock().expect("directory poisoned").len()
+        self.dir.lock().expect("directory poisoned").peers.len()
     }
 
     /// One CRS round: ask a random same-cluster victim, then a random
@@ -322,22 +365,15 @@ impl StealClient {
         if Instant::now() < *self.retry_after.lock().expect("retry poisoned") {
             return None;
         }
-        let dir = self.directory.lock().expect("directory poisoned").clone();
-        if dir.is_empty() {
-            *self.retry_after.lock().expect("retry poisoned") = Instant::now() + self.backoff;
-            return None;
-        }
-        for wide in [false, true] {
-            let candidates: Vec<&PeerInfo> = dir
-                .iter()
-                .filter(|p| (p.cluster == self.cluster) != wide)
-                .collect();
-            if candidates.is_empty() {
+        let dir = Arc::clone(&self.dir.lock().expect("directory poisoned"));
+        let (near, far) = dir.peers.split_at(dir.local);
+        for tier in [near, far] {
+            if tier.is_empty() {
                 continue;
             }
             let pick = {
                 let mut rng = self.rng.lock().expect("rng poisoned");
-                candidates[rng.gen_index(candidates.len())]
+                &tier[rng.gen_index(tier.len())]
             };
             match self.request_from(pick) {
                 Ok(Some(job)) => {
@@ -371,7 +407,7 @@ impl StealClient {
     /// Reports the value computed for a stolen job back to its victim.
     pub fn send_result(&self, victim: NodeId, id: u64, value: u64) -> bool {
         let mut conns = self.conns.lock().expect("conns poisoned");
-        let Some(stream) = conns.get(&victim) else {
+        let Some((_, stream)) = conns.get(&victim) else {
             return false;
         };
         if send_message(&mut (&*stream), &Message::StealResult { id, value }).is_err() {
@@ -390,9 +426,9 @@ impl StealClient {
             let s = TcpStream::connect(&peer.steal_addr)?;
             s.set_nodelay(true)?;
             s.set_read_timeout(Some(self.read_timeout))?;
-            e.insert(s);
+            e.insert((peer.steal_addr.clone(), s));
         }
-        let stream = conns.get(&peer.node).expect("just inserted");
+        let (_, stream) = conns.get(&peer.node).expect("just inserted");
         let start = Instant::now();
         send_message(&mut (&*stream), &Message::StealRequest { thief: self.me })?;
         match recv_message(&mut (&*stream))? {
@@ -460,6 +496,7 @@ impl RemoteStealHook for NetStealHook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn pool_counts_each_job_exactly_once() {
@@ -570,5 +607,288 @@ mod tests {
         assert!(client.try_steal().is_none());
         assert!(start.elapsed() < Duration::from_secs(2));
         assert_eq!(metrics.report().counter("net.steals.remote_failed"), 1);
+    }
+
+    /// A steal server over a pool stocked with `jobs` one-byte jobs.
+    fn stocked_server(jobs: usize) -> (Arc<ExportPool>, String) {
+        let pool = Arc::new(ExportPool::new());
+        for i in 0..jobs {
+            pool.offer(vec![i as u8]);
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = spawn_steal_server(listener, Arc::clone(&pool), None).unwrap();
+        (pool, addr.to_string())
+    }
+
+    /// The hub's view as thief `NodeId(5)` in cluster 1 receives it: its
+    /// own entry and eleven peers in three clusters, interleaved so that
+    /// neither tier is contiguous or in node order. Same-cluster peers
+    /// dial `near`, the rest `far`.
+    fn mixed_directory(near: &str, far: &str) -> Vec<PeerInfo> {
+        let layout = [
+            (3, 0),
+            (7, 1),
+            (5, 1),
+            (1, 2),
+            (8, 1),
+            (2, 0),
+            (9, 2),
+            (4, 1),
+            (6, 0),
+            (10, 2),
+            (12, 1),
+            (11, 0),
+        ];
+        layout
+            .iter()
+            .map(|&(node, cluster)| PeerInfo {
+                node: NodeId(node),
+                cluster: ClusterId(cluster),
+                steal_addr: if cluster == 1 { near } else { far }.to_string(),
+            })
+            .collect()
+    }
+
+    fn victims(client: &StealClient, steals: usize) -> Vec<u32> {
+        (0..steals)
+            .map(|_| client.try_steal().expect("a stocked victim").0 .0)
+            .collect()
+    }
+
+    /// The CRS draws are pinned: for a given node id and directory, the
+    /// victim sequence must not change with how the thief stores its
+    /// directory.
+    #[test]
+    fn golden_victim_sequence() {
+        let (_pool, addr) = stocked_server(64);
+        let client = StealClient::new(NodeId(5), ClusterId(1), None);
+        client.update_directory(mixed_directory(&addr, &addr));
+        assert_eq!(client.peers(), 11);
+        assert_eq!(
+            victims(&client, 64),
+            [
+                8, 4, 4, 8, 4, 4, 7, 8, 7, 7, 12, 8, 4, 8, 7, 8, 12, 4, 8, 12, 8, 4, 12, 8, 8, 4,
+                12, 12, 4, 4, 8, 8, 12, 4, 12, 7, 8, 8, 4, 8, 7, 7, 12, 7, 8, 12, 8, 7, 4, 12, 8,
+                8, 8, 4, 4, 7, 4, 12, 12, 7, 4, 4, 4, 4
+            ]
+        );
+
+        // A dry same-cluster tier falls through to the remote one; both
+        // tiers draw on every steal.
+        let (_dry, near) = stocked_server(0);
+        let (_full, far) = stocked_server(32);
+        let client = StealClient::new(NodeId(5), ClusterId(1), None);
+        client.update_directory(mixed_directory(&near, &far));
+        assert_eq!(
+            victims(&client, 32),
+            [
+                9, 2, 6, 2, 1, 9, 2, 2, 9, 10, 9, 1, 9, 11, 6, 2, 9, 3, 1, 2, 1, 1, 11, 3, 11, 9,
+                6, 1, 10, 1, 6, 9
+            ]
+        );
+
+        // No same-cluster peer at all: only the remote tier draws.
+        let (_pool, addr) = stocked_server(32);
+        let client = StealClient::new(NodeId(5), ClusterId(3), None);
+        client.update_directory(mixed_directory(&addr, &addr));
+        assert_eq!(client.peers(), 11);
+        assert_eq!(
+            victims(&client, 32),
+            [
+                2, 9, 6, 8, 4, 4, 7, 8, 3, 7, 11, 9, 6, 2, 1, 2, 12, 9, 2, 10, 9, 9, 11, 1, 8, 4,
+                12, 11, 4, 4, 9, 2
+            ]
+        );
+    }
+
+    /// A steal server that hands out one job and reports when its thief
+    /// hangs up.
+    fn hangup_reporting_server() -> (String, mpsc::Receiver<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (hung_up, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut job = Some(StealJob {
+                id: 0,
+                payload: vec![0xB0],
+            });
+            loop {
+                match recv_message(&mut (&stream)) {
+                    Ok(Some(Message::StealRequest { .. })) => {
+                        let reply = Message::StealReply { job: job.take() };
+                        send_message(&mut (&stream), &reply).unwrap();
+                    }
+                    Ok(None) => return hung_up.send(()).unwrap(),
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        });
+        (addr, rx)
+    }
+
+    #[test]
+    fn departed_and_moved_victims_lose_their_cached_connection() {
+        let (_a_pool, a_addr) = stocked_server(1);
+        let (b_addr, b_hung_up) = hangup_reporting_server();
+        let a = PeerInfo {
+            node: NodeId(1),
+            cluster: ClusterId(0),
+            steal_addr: a_addr,
+        };
+        let b = PeerInfo {
+            node: NodeId(2),
+            cluster: ClusterId(1),
+            steal_addr: b_addr,
+        };
+        let client = StealClient::new(NodeId(9), ClusterId(0), None);
+        client.update_directory(vec![a.clone(), b]);
+        // A shares the thief's cluster and serves its one job; dry, it
+        // falls through to B.
+        assert_eq!(client.try_steal().unwrap().0, NodeId(1));
+        assert_eq!(client.try_steal().unwrap().0, NodeId(2));
+        assert_eq!(client.conns.lock().unwrap().len(), 2);
+
+        client.update_directory(vec![a.clone()]);
+        b_hung_up
+            .recv_timeout(Duration::from_secs(5))
+            .expect("B's server never saw EOF");
+        assert_eq!(client.conns.lock().unwrap().len(), 1);
+
+        // A comes back behind a new listener: the next steal reaches it.
+        let (a2_pool, a2_addr) = stocked_server(1);
+        client.update_directory(vec![PeerInfo {
+            steal_addr: a2_addr,
+            ..a
+        }]);
+        assert_eq!(client.try_steal().unwrap().0, NodeId(1));
+        assert_eq!(a2_pool.snapshot().exported, 1);
+    }
+
+    /// The pool's semantics as first specified, with every counted id in
+    /// one set and every result scanning the queue.
+    #[derive(Default)]
+    struct PoolModel {
+        next_id: u64,
+        pending: VecDeque<(u64, Vec<u8>)>,
+        exported: BTreeMap<u64, Vec<u8>>,
+        done: BTreeSet<u64>,
+        sum: u64,
+    }
+
+    impl PoolModel {
+        fn offer(&mut self, payload: Vec<u8>) -> u64 {
+            self.next_id += 1;
+            self.pending.push_back((self.next_id - 1, payload));
+            self.next_id - 1
+        }
+
+        fn take_for_thief(&mut self) -> Option<(u64, Vec<u8>)> {
+            let (id, payload) = self.pending.pop_back()?;
+            self.exported.insert(id, payload.clone());
+            Some((id, payload))
+        }
+
+        fn complete(&mut self, id: u64, value: u64) -> bool {
+            if id >= self.next_id || !self.done.insert(id) {
+                return false;
+            }
+            self.sum += value;
+            self.exported.remove(&id);
+            self.pending.retain(|(i, _)| *i != id);
+            true
+        }
+
+        fn reclaim_all(&mut self) -> usize {
+            let n = self.exported.len();
+            self.pending.extend(std::mem::take(&mut self.exported));
+            n
+        }
+
+        fn snapshot(&self) -> PoolSnapshot {
+            PoolSnapshot {
+                offered: self.next_id,
+                completed: self.done.len() as u64,
+                pending: self.pending.len() as u64,
+                exported: self.exported.len() as u64,
+            }
+        }
+    }
+
+    /// What a thief reads from a handout's frame.
+    fn thief_export(pool: &ExportPool) -> Option<(u64, Vec<u8>)> {
+        let handout = pool.take_for_thief()?;
+        let mut wire = &handout.frame[..];
+        let Ok(Some(Message::StealReply { job: Some(job) })) = recv_message(&mut wire) else {
+            panic!("a handout frames a job reply");
+        };
+        assert!(wire.is_empty());
+        assert_eq!(job.id, handout.id);
+        Some((job.id, job.payload))
+    }
+
+    #[test]
+    fn pool_matches_the_reference_model() {
+        for seed in 0..64 {
+            let mut rng = Xoshiro256StarStar::seeded(seed);
+            let pool = ExportPool::new();
+            let mut model = PoolModel::default();
+            // Ids the owner or a thief took: their results land in and out
+            // of order, and again as duplicates once counted.
+            let mut taken = Vec::new();
+            for step in 0..2_000 {
+                match rng.gen_index(20) {
+                    0..=4 => {
+                        let payload = vec![rng.next_u64() as u8; rng.gen_index(4)];
+                        assert_eq!(pool.offer(payload.clone()), model.offer(payload));
+                    }
+                    5..=7 => {
+                        let got = pool.take_local();
+                        assert_eq!(got, model.pending.pop_front());
+                        taken.extend(got.map(|(id, _)| id));
+                    }
+                    8..=11 => {
+                        let got = thief_export(&pool);
+                        assert_eq!(got, model.take_for_thief());
+                        taken.extend(got.map(|(id, _)| id));
+                    }
+                    12..=18 => {
+                        let id = match rng.gen_index(2) {
+                            0 if !taken.is_empty() => taken[rng.gen_index(taken.len())],
+                            // Queued, reclaimed, unknown and future ids.
+                            _ => rng.gen_range(model.next_id + 3),
+                        };
+                        let value = rng.gen_range(1_000);
+                        let want = model.complete(id, value);
+                        assert_eq!(pool.complete(id, value), want, "seed {seed} step {step}");
+                    }
+                    _ => assert_eq!(pool.reclaim_stale(Duration::ZERO), model.reclaim_all()),
+                }
+                assert_eq!(pool.sum(), model.sum);
+                assert_eq!(pool.snapshot(), model.snapshot());
+                assert_eq!(pool.is_done(), model.done.len() as u64 == model.next_id);
+            }
+            // Settle every id: each job counts exactly once.
+            for id in 0..model.next_id {
+                assert_eq!(pool.complete(id, 1), model.complete(id, 1));
+            }
+            assert_eq!(pool.snapshot(), model.snapshot());
+            assert!(pool.is_done());
+            assert_eq!(pool.sum(), model.sum);
+        }
+    }
+
+    #[test]
+    fn done_bookkeeping_stays_bounded() {
+        let pool = ExportPool::new();
+        for _ in 0..100_000 {
+            let id = pool.offer(vec![1]);
+            assert_eq!(pool.take_for_thief().unwrap().id, id);
+            assert!(pool.complete(id, 1));
+            assert!(pool.state.lock().unwrap().done_above.len() <= 1);
+        }
+        assert!(pool.is_done());
+        assert_eq!(pool.sum(), 100_000);
+        assert_eq!(pool.state.lock().unwrap().done_below, 100_000);
     }
 }

@@ -6,13 +6,8 @@
 //! * [`fib`] — the classic spawn/sync micro-benchmark (fine-grained,
 //!   maximally irregular spawn tree);
 //! * [`nqueens`] — combinatorial search with irregular subtree sizes;
-//! * [`quadrature`] — adaptive numerical integration (data-dependent
-//!   recursion depth);
 //! * [`tsp`] — branch-and-bound travelling salesman with a shared global
 //!   bound (speculative parallelism and pruning);
-//! * [`sort`] — parallel mergesort (large result payloads);
-//! * [`matmul`] — divide-and-conquer matrix multiplication (regular
-//!   8-way spawn tree);
 //! * [`barneshut`] — the paper's evaluation workload: an N-body simulation
 //!   with a Plummer-model galaxy, octree construction, θ-criterion force
 //!   evaluation, and leapfrog integration, parallelized divide-and-conquer
@@ -31,18 +26,12 @@
 
 pub mod barneshut;
 pub mod fib;
-pub mod matmul;
 pub mod nqueens;
-pub mod quadrature;
 pub mod remote;
-pub mod sort;
 pub mod tsp;
 
 pub use barneshut::{BarnesHut, Body};
 pub use fib::{fib_par, fib_seq};
-pub use matmul::{matmul_par, matmul_seq, Matrix};
 pub use nqueens::{nqueens_par, nqueens_par_from, nqueens_seq, nqueens_seq_from};
-pub use quadrature::{integrate_par, integrate_seq};
 pub use remote::{frontier, RemoteDecodeError, RemoteJob};
-pub use sort::{mergesort_par, mergesort_seq};
 pub use tsp::{tsp_par, tsp_seq, TspInstance};

@@ -23,7 +23,8 @@
 //! inter-cluster-communication input becomes a real wire quantity in
 //! process mode instead of an emulated delay.
 
-use crate::wire::{recv_message, send_frame, send_message, Message, PeerInfo, StealJob};
+use crate::reactor::{Reactor, ReactorEvent};
+use crate::wire::{recv_message, send_message, Message, PeerInfo, StealJob};
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::metrics::{Counter, Histogram, Metrics};
 use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
@@ -67,13 +68,6 @@ impl StealMetrics {
 struct Exported {
     payload: Vec<u8>,
     since: Instant,
-}
-
-/// A job handed to a thief: its id and the framed `StealReply` carrying it.
-struct Handout {
-    #[cfg_attr(not(test), allow(dead_code))] // the server needs only the frame
-    id: u64,
-    frame: Vec<u8>,
 }
 
 #[derive(Default)]
@@ -138,11 +132,13 @@ impl ExportPool {
         id
     }
 
-    /// Hands one pending job to a thief, marking it exported as of now.
-    /// The reply is framed from the job and the payload then moved into
-    /// the exported set, so its one copy is the one onto the wire; a reply
-    /// that fails to send is still exported and comes back by staleness.
-    fn take_for_thief(&self) -> Option<Handout> {
+    /// Hands one pending job to a thief, marking it exported as of now,
+    /// and returns the framed `StealReply` carrying it. The reply is
+    /// framed from the job and the payload then moved into the exported
+    /// set; outside the lock the frame is copied once more, into the
+    /// shared buffer the reactor queues. A reply that fails to send is
+    /// still exported and comes back by staleness.
+    fn take_for_thief(&self) -> Option<Arc<[u8]>> {
         let mut s = self.state.lock().expect("pool poisoned");
         // Thieves take from the back, the owner from the front — the same
         // ends-apart discipline as an in-process work-stealing deque.
@@ -155,7 +151,8 @@ impl ExportPool {
         };
         let (payload, since) = (job.payload, Instant::now());
         s.exported.insert(id, Exported { payload, since });
-        Some(Handout { id, frame })
+        drop(s);
+        Some(frame.into())
     }
 
     /// Takes one pending job for local execution by the owner. The caller
@@ -233,64 +230,65 @@ impl ExportPool {
     }
 }
 
-/// Serves this process's [`ExportPool`] to thieves: accepts connections on
-/// `listener` and answers `StealRequest` with `StealReply`, folding
-/// returned `StealResult`s into the pool. Threads are detached; they exit
-/// when their peer disconnects (or the process does). `served` counts
-/// exported jobs when metrics are enabled.
+/// Serves this process's [`ExportPool`] to thieves: one `steal-io`
+/// thread runs a [`Reactor`] over `listener`, answers each `StealRequest`
+/// with a `StealReply` and folds returned `StealResult`s into the pool.
+/// Any other frame closes its connection; a stalled thief costs a decoder
+/// buffer, not a thread. The thread is detached and lives as long as the
+/// process. `served` counts exported jobs when metrics are enabled.
 pub fn spawn_steal_server(
     listener: TcpListener,
     pool: Arc<ExportPool>,
     served: Option<Arc<Counter>>,
 ) -> io::Result<std::net::SocketAddr> {
     let addr = listener.local_addr()?;
+    let mut reactor = Reactor::with_listener(listener, &Metrics::disabled())?;
+    let dry = Reactor::encode_frame(&Message::StealReply { job: None });
     std::thread::Builder::new()
-        .name("steal-accept".to_string())
+        .name("steal-io".to_string())
         .spawn(move || {
-            let mut n = 0u64;
-            while let Ok((stream, _)) = listener.accept() {
-                n += 1;
-                let pool = Arc::clone(&pool);
-                let served = served.clone();
-                let _ = std::thread::Builder::new()
-                    .name(format!("steal-srv-{n}"))
-                    .spawn(move || {
-                        let _ = stream.set_nodelay(true);
-                        let mut r = &stream;
-                        let dry = Message::StealReply { job: None }.frame();
-                        loop {
-                            match recv_message(&mut r) {
-                                Ok(Some(Message::StealRequest { .. })) => {
-                                    let job = pool.take_for_thief();
-                                    if let (Some(c), Some(_)) = (&served, &job) {
-                                        c.inc();
-                                    }
-                                    let frame = job.as_ref().map_or(&dry, |j| &j.frame);
-                                    if send_frame(&mut r, frame).is_err() {
-                                        break;
-                                    }
-                                }
-                                Ok(Some(Message::StealResult { id, value })) => {
-                                    pool.complete(id, value);
-                                }
-                                // EOF, transport error or a non-steal
-                                // message: drop the peer.
-                                _ => break,
+            let mut events = Vec::new();
+            while reactor.poll(&mut events, Duration::MAX).is_ok() {
+                for event in events.drain(..) {
+                    match event {
+                        ReactorEvent::Frame(token, Message::StealRequest { .. }) => {
+                            let job = pool.take_for_thief();
+                            if let (Some(c), Some(_)) = (&served, &job) {
+                                c.inc();
                             }
+                            reactor.send_frame(token, job.unwrap_or_else(|| Arc::clone(&dry)));
                         }
-                    });
+                        ReactorEvent::Frame(_, Message::StealResult { id, value }) => {
+                            pool.complete(id, value);
+                        }
+                        ReactorEvent::Frame(token, _) => reactor.close(token),
+                        // EOF and undecodable frames are reaped by the
+                        // reactor itself; no timer is ever armed.
+                        ReactorEvent::Accepted(..)
+                        | ReactorEvent::Closed(_)
+                        | ReactorEvent::Timer(_) => {}
+                    }
+                }
             }
         })?;
     Ok(addr)
 }
 
-/// The thief's directory snapshot, rebuilt on each update and shared by
-/// every steal until the next: all peers but the thief, same-cluster
-/// peers (`peers[..local]`) first, each tier in directory order.
-#[derive(Default)]
-struct Victims {
+/// A victim's cached steal connection and the address it was dialled at.
+type Conns = HashMap<NodeId, (String, TcpStream)>;
+
+/// Everything a steal reads or writes, under the client's one lock: a
+/// steal holds it for its whole round trip anyway.
+struct ClientState {
+    /// All peers but the thief, same-cluster peers (`peers[..local]`)
+    /// first, each tier in directory order.
     peers: Vec<PeerInfo>,
     local: usize,
+    conns: Conns,
+    rng: Xoshiro256StarStar,
+    /// After a fully dry round, retries are suppressed until this instant
+    /// so idle workers do not hammer dry victims at park frequency.
+    retry_after: Instant,
 }
 
 /// The thief side: a CRS victim selector over the hub-fed peer directory,
@@ -298,17 +296,11 @@ struct Victims {
 pub struct StealClient {
     me: NodeId,
     cluster: ClusterId,
-    dir: Mutex<Arc<Victims>>,
-    /// Each victim's connection and the address it was dialled at.
-    conns: Mutex<HashMap<NodeId, (String, TcpStream)>>,
-    rng: Mutex<Xoshiro256StarStar>,
+    state: Mutex<ClientState>,
     sm: Option<StealMetrics>,
     /// Reply wait bound per victim, so a stuck victim cannot park the
     /// worker loop indefinitely.
     read_timeout: Duration,
-    /// After a fully dry round, retries are suppressed until this instant
-    /// so idle workers do not hammer dry victims at park frequency.
-    retry_after: Mutex<Instant>,
     backoff: Duration,
 }
 
@@ -319,16 +311,23 @@ impl StealClient {
         Self {
             me,
             cluster,
-            dir: Mutex::default(),
-            conns: Mutex::new(HashMap::new()),
-            rng: Mutex::new(Xoshiro256StarStar::seeded(
-                0x57EA1 ^ u64::from(me.0).wrapping_mul(0x9E3779B97F4A7C15),
-            )),
+            state: Mutex::new(ClientState {
+                peers: Vec::new(),
+                local: 0,
+                conns: HashMap::new(),
+                rng: Xoshiro256StarStar::seeded(
+                    0x57EA1 ^ u64::from(me.0).wrapping_mul(0x9E3779B97F4A7C15),
+                ),
+                retry_after: Instant::now(),
+            }),
             sm,
             read_timeout: Duration::from_millis(500),
-            retry_after: Mutex::new(Instant::now()),
             backoff: Duration::from_millis(2),
         }
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, ClientState> {
+        self.state.lock().expect("steal client poisoned")
     }
 
     /// Replaces the peer directory with a hub snapshot, closes cached
@@ -342,19 +341,21 @@ impl StealClient {
         far.extend(peers.extract_if(.., |p| p.cluster != self.cluster));
         let local = peers.len();
         peers.append(&mut far);
-        let mut conns = self.conns.lock().expect("conns poisoned");
-        if !conns.is_empty() {
+        let s = &mut *self.state();
+        if !s.conns.is_empty() {
             let mut live: Vec<_> = peers.iter().map(|p| (p.node, &*p.steal_addr)).collect();
             live.sort_unstable();
-            conns.retain(|node, (addr, _)| live.binary_search(&(*node, &**addr)).is_ok());
+            s.conns
+                .retain(|node, (addr, _)| live.binary_search(&(*node, &**addr)).is_ok());
         }
-        *self.dir.lock().expect("directory poisoned") = Arc::new(Victims { peers, local });
-        *self.retry_after.lock().expect("retry poisoned") = Instant::now();
+        s.peers = peers;
+        s.local = local;
+        s.retry_after = Instant::now();
     }
 
     /// Number of known peers.
     pub fn peers(&self) -> usize {
-        self.dir.lock().expect("directory poisoned").peers.len()
+        self.state().peers.len()
     }
 
     /// One CRS round: ask a random same-cluster victim, then a random
@@ -362,20 +363,16 @@ impl StealClient {
     /// to send the result to, or `None` when everyone is dry/unreachable
     /// (after which retries are suppressed briefly).
     pub fn try_steal(&self) -> Option<(NodeId, StealJob)> {
-        if Instant::now() < *self.retry_after.lock().expect("retry poisoned") {
+        let s = &mut *self.state();
+        if Instant::now() < s.retry_after {
             return None;
         }
-        let dir = Arc::clone(&self.dir.lock().expect("directory poisoned"));
-        let (near, far) = dir.peers.split_at(dir.local);
-        for tier in [near, far] {
+        for tier in [0..s.local, s.local..s.peers.len()] {
             if tier.is_empty() {
                 continue;
             }
-            let pick = {
-                let mut rng = self.rng.lock().expect("rng poisoned");
-                &tier[rng.gen_index(tier.len())]
-            };
-            match self.request_from(pick) {
+            let pick = &s.peers[tier.start + s.rng.gen_index(tier.len())];
+            match self.request_from(&mut s.conns, pick) {
                 Ok(Some(job)) => {
                     if let Some(sm) = &self.sm {
                         sm.remote_ok.inc();
@@ -390,23 +387,20 @@ impl StealClient {
                 Err(_) => {
                     // Stale address or dead victim: drop the cached
                     // connection; the next directory update may revive it.
-                    self.conns
-                        .lock()
-                        .expect("conns poisoned")
-                        .remove(&pick.node);
+                    s.conns.remove(&pick.node);
                     if let Some(sm) = &self.sm {
                         sm.remote_failed.inc();
                     }
                 }
             }
         }
-        *self.retry_after.lock().expect("retry poisoned") = Instant::now() + self.backoff;
+        s.retry_after = Instant::now() + self.backoff;
         None
     }
 
     /// Reports the value computed for a stolen job back to its victim.
     pub fn send_result(&self, victim: NodeId, id: u64, value: u64) -> bool {
-        let mut conns = self.conns.lock().expect("conns poisoned");
+        let conns = &mut self.state().conns;
         let Some((_, stream)) = conns.get(&victim) else {
             return false;
         };
@@ -420,8 +414,7 @@ impl StealClient {
     /// One request/reply round trip against `peer`, dialling (and caching)
     /// a connection on first use. Records per-steal latency when a job
     /// comes back.
-    fn request_from(&self, peer: &PeerInfo) -> io::Result<Option<StealJob>> {
-        let mut conns = self.conns.lock().expect("conns poisoned");
+    fn request_from(&self, conns: &mut Conns, peer: &PeerInfo) -> io::Result<Option<StealJob>> {
         if let std::collections::hash_map::Entry::Vacant(e) = conns.entry(peer.node) {
             let s = TcpStream::connect(&peer.steal_addr)?;
             s.set_nodelay(true)?;
@@ -507,7 +500,7 @@ mod tests {
 
         // Owner takes one end, a thief the other.
         let (local_id, _) = pool.take_local().unwrap();
-        let stolen = pool.take_for_thief().unwrap();
+        let stolen = thief_export(&pool).unwrap();
         assert_ne!(local_id, stolen.id);
         assert_eq!(
             BTreeSet::from([local_id, stolen.id]),
@@ -527,7 +520,7 @@ mod tests {
     fn stale_exports_are_reclaimed_and_late_results_do_not_double_count() {
         let pool = ExportPool::new();
         pool.offer(vec![7]);
-        let stolen = pool.take_for_thief().unwrap();
+        let stolen = thief_export(&pool).unwrap();
         // Fresh export: nothing to reclaim.
         assert_eq!(pool.reclaim_stale(Duration::from_secs(60)), 0);
         std::thread::sleep(Duration::from_millis(5));
@@ -747,13 +740,13 @@ mod tests {
         // falls through to B.
         assert_eq!(client.try_steal().unwrap().0, NodeId(1));
         assert_eq!(client.try_steal().unwrap().0, NodeId(2));
-        assert_eq!(client.conns.lock().unwrap().len(), 2);
+        assert_eq!(client.state().conns.len(), 2);
 
         client.update_directory(vec![a.clone()]);
         b_hung_up
             .recv_timeout(Duration::from_secs(5))
             .expect("B's server never saw EOF");
-        assert_eq!(client.conns.lock().unwrap().len(), 1);
+        assert_eq!(client.state().conns.len(), 1);
 
         // A comes back behind a new listener: the next steal reaches it.
         let (a2_pool, a2_addr) = stocked_server(1);
@@ -763,6 +756,105 @@ mod tests {
         }]);
         assert_eq!(client.try_steal().unwrap().0, NodeId(1));
         assert_eq!(a2_pool.snapshot().exported, 1);
+    }
+
+    /// Waits up to five seconds for the steal server to fold in the last
+    /// results.
+    fn wait_done(pool: &ExportPool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !pool.is_done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(pool.is_done(), "results never reached the pool");
+    }
+
+    fn thief_of(node: u32, victim_addr: &str) -> StealClient {
+        let client = StealClient::new(NodeId(node), ClusterId(0), None);
+        client.update_directory(vec![PeerInfo {
+            node: NodeId(1),
+            cluster: ClusterId(0),
+            steal_addr: victim_addr.to_string(),
+        }]);
+        client
+    }
+
+    /// Threads of this process whose name starts with `prefix`.
+    fn threads_named(prefix: &str) -> usize {
+        std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with(prefix))
+            .count()
+    }
+
+    #[test]
+    fn one_server_thread_serves_many_thieves() {
+        // Other tests start steal servers in this process too, so the
+        // thread census runs in a child process that runs this test alone.
+        const NAME: &str = "steal::tests::one_server_thread_serves_many_thieves";
+        if !std::env::args().any(|a| a == NAME) {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([NAME, "--exact", "--test-threads=1"])
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "{stdout}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
+        let (pool, addr) = stocked_server(16);
+        let thieves: Vec<_> = (0..16).map(|i| thief_of(100 + i, &addr)).collect();
+        let stolen: Vec<_> = std::thread::scope(|s| {
+            let steals: Vec<_> = thieves
+                .iter()
+                .map(|c| s.spawn(|| c.try_steal().expect("a stocked victim")))
+                .collect();
+            steals.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Every thief's connection is still open.
+        assert_eq!(threads_named("steal-io"), 1);
+        assert_eq!(threads_named("steal-srv"), 0);
+        for (client, (victim, job)) in thieves.iter().zip(stolen) {
+            assert!(client.send_result(victim, job.id, u64::from(job.payload[0])));
+        }
+        wait_done(&pool);
+        assert_eq!(pool.sum(), (0..16).sum::<u64>());
+    }
+
+    #[test]
+    fn hostile_thieves_are_dropped_and_others_keep_stealing() {
+        use std::io::Write;
+        let (pool, addr) = stocked_server(32);
+        let dial = || {
+            let s = TcpStream::connect(&addr).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            s
+        };
+        // Half a header, then silence for the rest of the test.
+        let mut stalled = dial();
+        stalled.write_all(&[7, 0]).unwrap();
+        // A frame that is no steal message, and a length past MAX_FRAME:
+        // both are hung up on.
+        let mut chatty = dial();
+        send_message(&mut chatty, &Message::Heartbeat { node: NodeId(3) }).unwrap();
+        let mut huge = dial();
+        let len = crate::wire::MAX_FRAME as u32 + 1;
+        huge.write_all(&len.to_le_bytes()).unwrap();
+        for mut hostile in [chatty, huge] {
+            assert!(matches!(recv_message(&mut hostile), Ok(None)), "no EOF");
+        }
+
+        let client = thief_of(9, &addr);
+        while let Some((victim, job)) = client.try_steal() {
+            assert!(client.send_result(victim, job.id, u64::from(job.payload[0])));
+        }
+        wait_done(&pool);
+        assert_eq!(pool.sum(), (0..32).sum::<u64>());
+        assert_eq!(pool.snapshot().completed, 32);
+        drop(stalled);
     }
 
     /// The pool's semantics as first specified, with every counted id in
@@ -815,16 +907,15 @@ mod tests {
         }
     }
 
-    /// What a thief reads from a handout's frame.
-    fn thief_export(pool: &ExportPool) -> Option<(u64, Vec<u8>)> {
-        let handout = pool.take_for_thief()?;
-        let mut wire = &handout.frame[..];
+    /// What a thief reads from the reply frame of a handed-out job.
+    fn thief_export(pool: &ExportPool) -> Option<StealJob> {
+        let frame = pool.take_for_thief()?;
+        let mut wire = &frame[..];
         let Ok(Some(Message::StealReply { job: Some(job) })) = recv_message(&mut wire) else {
             panic!("a handout frames a job reply");
         };
         assert!(wire.is_empty());
-        assert_eq!(job.id, handout.id);
-        Some((job.id, job.payload))
+        Some(job)
     }
 
     #[test]
@@ -848,7 +939,7 @@ mod tests {
                         taken.extend(got.map(|(id, _)| id));
                     }
                     8..=11 => {
-                        let got = thief_export(&pool);
+                        let got = thief_export(&pool).map(|j| (j.id, j.payload));
                         assert_eq!(got, model.take_for_thief());
                         taken.extend(got.map(|(id, _)| id));
                     }
@@ -883,7 +974,7 @@ mod tests {
         let pool = ExportPool::new();
         for _ in 0..100_000 {
             let id = pool.offer(vec![1]);
-            assert_eq!(pool.take_for_thief().unwrap().id, id);
+            assert_eq!(thief_export(&pool).unwrap().id, id);
             assert!(pool.complete(id, 1));
             assert!(pool.state.lock().unwrap().done_above.len() <= 1);
         }

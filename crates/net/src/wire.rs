@@ -672,17 +672,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Encodes and writes one message as a frame.
-pub fn send_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    send_frame(w, &msg.frame())
-}
-
-/// Writes one frame built by [`Message::frame`]. The frame leaves in a
+/// Encodes and writes one message as a frame. The frame leaves in a
 /// single write, so on a `TCP_NODELAY` socket it is one segment, not a
 /// header segment and a payload segment.
-pub(crate) fn send_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
+pub fn send_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
+    let frame = msg.frame();
     assert!(frame.len() - 4 <= MAX_FRAME, "oversized outgoing frame");
-    w.write_all(frame)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -230,5 +230,13 @@ wide_steady 8480 2.2804496305016957
 wide_churn  4560 3.3795889242793447
 bulk_wan    360  0.4544444135790188
 PINS
+# The victim's steal server is one reactor thread however many thieves
+# dial it. A traced run counts 1 + the threads named steal-srv*, so
+# thread-per-connection cannot come back unnoticed.
+bash benchmark/run.sh --workload paper36 --seed 1 --seconds 3 --trace 1 </dev/null \
+    | tail -n 1 > target/ci_bench_paper36_traced.json
+grep -qF '"net.steal.server_threads":{"value":1,' target/ci_bench_paper36_traced.json \
+    || { echo "  paper36: expected one steal server thread" >&2; exit 1; }
+echo "  paper36 (traced): net.steal.server_threads 1"
 
 echo "CI OK"

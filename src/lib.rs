@@ -22,7 +22,7 @@
 //! * [`net`] — process-mode TCP control plane (std-only wire codec,
 //!   hub/worker/coordinator binaries, `grid-local` launcher);
 //! * [`apps`] — divide-and-conquer applications (Fibonacci,
-//!   N-queens, adaptive quadrature, TSP, Barnes-Hut);
+//!   N-queens, TSP, Barnes-Hut);
 //! * [`exp`] — the experiment harness reproducing every figure
 //!   and table of the paper's evaluation.
 //!

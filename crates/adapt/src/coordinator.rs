@@ -110,7 +110,7 @@ pub struct NodeBadnessRecord {
     pub badness: f64,
 }
 
-/// One line of the coordinator's decision log (drives the experiment
+/// One line of the decision log (drives the experiment
 /// reports' event annotations, e.g. "badly connected cluster removed").
 ///
 /// Beyond the decision itself, each entry is a full provenance record:
@@ -188,7 +188,10 @@ pub struct Coordinator {
     /// (measured from data transfer times, §3.3).
     uplink_observations: BTreeMap<ClusterId, f64>,
     learned: LearnedRequirements,
-    log: Vec<DecisionLogEntry>,
+    /// The latest evaluation's entry. The history lives with the readers
+    /// that need it (the engine's `RunResult`, the JSONL stream), so a
+    /// long-lived coordinator's memory does not grow with run length.
+    last: Option<DecisionLogEntry>,
     /// Members whose liveness is currently unresolved: the failure
     /// detector has seen suspicious silence but has not yet promoted them
     /// to dead. Their stale reports must not poison the efficiency
@@ -211,7 +214,7 @@ impl Coordinator {
             blacklisted_clusters: BTreeSet::new(),
             uplink_observations: BTreeMap::new(),
             learned: LearnedRequirements::default(),
-            log: Vec::new(),
+            last: None,
             suspects: BTreeSet::new(),
         }
     }
@@ -303,9 +306,10 @@ impl Coordinator {
         &self.blacklisted_clusters
     }
 
-    /// The full decision log.
-    pub fn log(&self) -> &[DecisionLogEntry] {
-        &self.log
+    /// The entry of the latest [`Self::evaluate`]; every evaluation
+    /// replaces it.
+    pub fn last_decision(&self) -> Option<&DecisionLogEntry> {
+        self.last.as_ref()
     }
 
     /// Weighted average efficiency over the currently known reports,
@@ -575,7 +579,7 @@ impl Coordinator {
         decision: Decision,
         hold_fire: Option<String>,
     ) -> Decision {
-        self.log.push(DecisionLogEntry {
+        self.last = Some(DecisionLogEntry {
             at,
             wa_efficiency,
             nodes,
@@ -659,7 +663,7 @@ mod tests {
     fn no_reports_means_no_action() {
         let mut c = coordinator();
         assert_eq!(c.evaluate(SimTime::ZERO, None), Decision::None);
-        assert_eq!(c.log().len(), 1);
+        assert_eq!(c.last_decision().map(|e| e.nodes), Some(0));
     }
 
     #[test]
@@ -850,12 +854,16 @@ mod tests {
         for i in 0..4 {
             c.record_report(report(i, 0, 1.0, 0.9, 0.0));
         }
+        assert!(c.last_decision().is_none());
         let _ = c.evaluate(SimTime::from_secs(180), None);
+        let first = c.last_decision().unwrap().clone();
+        assert_eq!(first.at, SimTime::from_secs(180));
+        assert_eq!(first.decision.kind(), "add");
+        assert_eq!(first.nodes, 4);
+        assert!(first.wa_efficiency > 0.5);
+        // The next evaluation replaces the entry: only the latest is kept.
         let _ = c.evaluate(SimTime::from_secs(360), None);
-        assert_eq!(c.log().len(), 2);
-        assert_eq!(c.log()[0].decision.kind(), "add");
-        assert_eq!(c.log()[0].nodes, 4);
-        assert!(c.log()[0].wa_efficiency > 0.5);
+        assert_eq!(c.last_decision().unwrap().at, SimTime::from_secs(360));
     }
 
     #[test]
@@ -865,7 +873,7 @@ mod tests {
         c.record_report(report(1, 1, 1.0, 0.2, 0.4));
         c.observe_uplink(ClusterId(1), 100_000.0);
         let _ = c.evaluate(SimTime::ZERO, None); // removes cluster 1
-        let entry = &c.log()[0];
+        let entry = c.last_decision().unwrap();
         // The badness terms of both reporting nodes, worst first.
         assert_eq!(entry.badness.len(), 2);
         assert_eq!(entry.badness[0].node, NodeId(1));
@@ -951,7 +959,7 @@ mod tests {
         c.record_report(report(3, 0, 1.0, 0.1, 0.0));
         c.mark_suspects(&[NodeId(2), NodeId(3)]);
         assert_eq!(c.evaluate(SimTime::ZERO, None), Decision::None);
-        let entry = c.log().last().unwrap();
+        let entry = c.last_decision().unwrap();
         assert_eq!(entry.suspect_ids, vec![NodeId(2), NodeId(3)]);
         assert!(entry.hold_fire.is_some(), "provenance records the hold");
         assert_eq!(entry.nodes, 2, "denominator counts alive-confirmed only");
@@ -965,7 +973,7 @@ mod tests {
         assert!(c.suspects().is_empty());
         let d = c.evaluate(SimTime::from_secs(180), None);
         assert!(
-            c.log().last().unwrap().hold_fire.is_none(),
+            c.last_decision().unwrap().hold_fire.is_none(),
             "no hold once resolved, got {d:?}"
         );
     }
@@ -978,7 +986,7 @@ mod tests {
         c.record_report(report(0, 0, 1.0, 0.1, 0.0));
         c.mark_suspect(NodeId(0));
         assert_eq!(c.evaluate(SimTime::ZERO, None), Decision::None);
-        let entry = c.log().last().unwrap();
+        let entry = c.last_decision().unwrap();
         assert_eq!(entry.nodes, 0);
         assert!(entry.hold_fire.is_some());
     }
@@ -1006,23 +1014,26 @@ mod tests {
     fn flapping_suspicion_never_triggers_shrink() {
         let mut c = coordinator();
         let mut t = SimTime::ZERO;
+        let mut entries = Vec::new();
         for round in 0..5 {
             for i in 0..4 {
                 c.record_report(report(i, 0, 1.0, 0.4, 0.0));
             }
             c.mark_suspect(NodeId(3));
             let d = c.evaluate(t, None);
+            entries.extend(c.last_decision().cloned());
             assert_eq!(d, Decision::None, "round {round}: suspect window");
             // The flapper resumes before the next period.
             c.record_report(report(3, 0, 1.0, 0.4, 0.0));
             t += sagrid_core::time::SimDuration::from_secs(180);
             let d = c.evaluate(t, None);
+            entries.extend(c.last_decision().cloned());
             assert_eq!(d, Decision::None, "round {round}: healthy in-band set");
             t += sagrid_core::time::SimDuration::from_secs(180);
         }
         assert!(c.blacklisted_nodes().is_empty());
-        assert!(c
-            .log()
+        assert_eq!(entries.len(), 10);
+        assert!(entries
             .iter()
             .all(|e| !matches!(e.decision, Decision::RemoveNodes { .. })));
     }

@@ -361,8 +361,8 @@ mod tests {
         let t = SimTime::from_secs(180);
         assert_eq!(flat.evaluate(t, None), hier.evaluate(t, None));
         assert_eq!(flat.evaluate(t, None), Decision::None);
-        let fe = flat.log().last().unwrap();
-        let he = hier.main().log().last().unwrap();
+        let fe = flat.last_decision().unwrap();
+        let he = hier.main().last_decision().unwrap();
         assert!(fe.hold_fire.is_some() && he.hold_fire.is_some());
         assert_eq!(fe.suspect_ids, he.suspect_ids);
         // A fresh report entering at the hierarchy's edge clears the

@@ -131,6 +131,9 @@ impl AdaptPolicy {
         if self.growth_factor <= 0.0 {
             return Err("growth_factor must be positive".into());
         }
+        if self.max_growth_per_period == 0 {
+            return Err("max_growth_per_period must be at least 1".into());
+        }
         Ok(())
     }
 
@@ -191,6 +194,17 @@ mod tests {
         assert!(p.validate().is_err());
         let p = AdaptPolicy {
             min_nodes: 0,
+            ..Default::default()
+        };
+        assert!(p.validate().is_err());
+    }
+
+    /// A zero growth cap would make `grow_size` panic in `clamp(1, 0)`
+    /// at the first `add`; it is rejected up front instead.
+    #[test]
+    fn validation_catches_zero_growth_cap() {
+        let p = AdaptPolicy {
+            max_growth_per_period: 0,
             ..Default::default()
         };
         assert!(p.validate().is_err());

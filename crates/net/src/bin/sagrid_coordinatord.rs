@@ -10,8 +10,9 @@
 //! [`sagrid_simgrid::provenance::decision_event`]), so the JSONL stream
 //! written at shutdown reconstructs through
 //! [`sagrid_simgrid::provenance::reconstruct_decision`] exactly like an
-//! in-process run's. The daemon self-verifies this on shutdown and prints
-//! `PROVENANCE_OK n=<entries>`.
+//! in-process run's. The daemon round-trips each event through the parser
+//! as it emits it, fails on the first mismatch, and prints
+//! `PROVENANCE_OK n=<entries>` at shutdown.
 
 use sagrid_adapt::{AdaptPolicy, Coordinator, Decision, SpeedTracker};
 use sagrid_core::json::parse_json;
@@ -208,50 +209,37 @@ fn run() -> Result<(), String> {
                     // Off by default; process mode does not enable it.
                 }
             }
-            // Emit provenance events for every new log entry, exactly as
-            // the in-process engines do.
-            for entry in &coordinator.log()[emitted..] {
-                // The hub epoch distinguishes pre- from post-failover
-                // decisions; reconstruction ignores unknown fields.
-                metrics.emit(decision_event(entry).with("hub_epoch", Value::U64(hub_epoch)));
-                if entry.hold_fire.is_some() {
-                    holdfire_decisions.inc();
-                }
-                println!(
-                    "DECISION kind={} wa={:.3} nodes={} suspects={}",
-                    entry.decision.kind(),
-                    entry.wa_efficiency,
-                    entry.nodes,
-                    entry.suspect_ids.len()
-                );
+            // Emit the decision's provenance event, exactly as the
+            // in-process engines do, and self-verify that it round-trips
+            // through the provenance parser back to its log entry.
+            let entry = coordinator.last_decision().expect("evaluate logs");
+            // The hub epoch distinguishes pre- from post-failover
+            // decisions; reconstruction ignores unknown fields.
+            let event = decision_event(entry).with("hub_epoch", Value::U64(hub_epoch));
+            let json = parse_json(&event.to_json())
+                .map_err(|e| format!("emitted decision does not re-parse: {e}"))?;
+            if !reconstruct_decision(&json)?.matches(entry) {
+                return Err(format!(
+                    "provenance mismatch at t={:?}: {:?}",
+                    entry.at, entry.decision
+                ));
             }
-            emitted = coordinator.log().len();
+            metrics.emit(event);
+            emitted += 1;
+            if entry.hold_fire.is_some() {
+                holdfire_decisions.inc();
+            }
+            println!(
+                "DECISION kind={} wa={:.3} nodes={} suspects={}",
+                entry.decision.kind(),
+                entry.wa_efficiency,
+                entry.nodes,
+                entry.suspect_ids.len()
+            );
         }
     };
-
-    // Self-verify: every emitted decision event must round-trip through
-    // the provenance parser back to its in-memory log entry.
+    println!("PROVENANCE_OK n={emitted}");
     let report = metrics.report();
-    let events: Vec<_> = report.events_of_kind("decision").collect();
-    if events.len() != coordinator.log().len() {
-        return Err(format!(
-            "provenance mismatch: {} events vs {} log entries",
-            events.len(),
-            coordinator.log().len()
-        ));
-    }
-    for (event, entry) in events.iter().zip(coordinator.log()) {
-        let json = parse_json(&event.to_json())
-            .map_err(|e| format!("emitted decision does not re-parse: {e}"))?;
-        let prov = reconstruct_decision(&json)?;
-        if !prov.matches(entry) {
-            return Err(format!(
-                "provenance mismatch at t={:?}: {:?}",
-                entry.at, entry.decision
-            ));
-        }
-    }
-    println!("PROVENANCE_OK n={}", events.len());
 
     if let Some(path) = out {
         if let Some(dir) = std::path::Path::new(&path).parent() {

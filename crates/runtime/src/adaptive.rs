@@ -51,7 +51,7 @@ impl AdaptiveRuntime {
         Arc::clone(&self.runtime)
     }
 
-    /// The coordinator (decision log, blacklists, learned requirements).
+    /// The coordinator (latest decision, blacklists, learned requirements).
     pub fn coordinator(&self) -> &Coordinator {
         &self.coordinator
     }

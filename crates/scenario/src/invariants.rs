@@ -99,7 +99,11 @@ fn u64_set(v: &JsonValue, key: &str) -> BTreeSet<u64> {
 /// Everything the checker extracted from one JSONL stream.
 struct Stream {
     /// `(at_us, kind, parsed line)` for every event record, in order.
+    /// `decision` lines have their `badness` array dropped once
+    /// reconstructed: no check reads it again.
     events: Vec<(u64, String, JsonValue)>,
+    /// `(at_us, error)` per `decision` line that failed reconstruction.
+    unreconstructed: Vec<(u64, String)>,
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, i64)>,
     /// `(name, sample count)` per histogram.
@@ -110,6 +114,7 @@ impl Stream {
     fn parse(jsonl: &str) -> Result<Stream, String> {
         let mut s = Stream {
             events: Vec::new(),
+            unreconstructed: Vec::new(),
             counters: Vec::new(),
             gauges: Vec::new(),
             histograms: Vec::new(),
@@ -118,7 +123,7 @@ impl Stream {
             if line.trim().is_empty() {
                 continue;
             }
-            let v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let mut v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
             let ty = v.get("type").and_then(|t| t.as_str()).unwrap_or("");
             match ty {
                 "event" => {
@@ -129,6 +134,14 @@ impl Stream {
                         .and_then(|k| k.as_str())
                         .unwrap_or("")
                         .to_string();
+                    if kind == "decision" {
+                        if let Err(e) = reconstruct_decision(&v) {
+                            s.unreconstructed.push((at, e));
+                        }
+                        if let JsonValue::Obj(pairs) = &mut v {
+                            pairs.retain(|(k, _)| k != "badness");
+                        }
+                    }
                     s.events.push((at, kind, v));
                 }
                 "counter" | "gauge" | "histogram" => {
@@ -432,17 +445,15 @@ fn injection_sub_kind(v: &JsonValue) -> &str {
 }
 
 fn check_provenance(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violation>) {
-    // Every decision line reconstructs losslessly.
-    for (at, _, v) in stream.of_kind("decision") {
-        if let Err(e) = reconstruct_decision(v) {
-            out.push(Violation {
-                invariant: "decision-provenance",
-                detail: format!(
-                    "decision at t={:.1}s failed reconstruction: {e}",
-                    *at as f64 / 1e6
-                ),
-            });
-        }
+    // Every decision line reconstructs losslessly (checked while parsing).
+    for (at, e) in &stream.unreconstructed {
+        out.push(Violation {
+            invariant: "decision-provenance",
+            detail: format!(
+                "decision at t={:.1}s failed reconstruction: {e}",
+                *at as f64 / 1e6
+            ),
+        });
     }
     if !cfg.check_membership {
         return;
@@ -717,6 +728,46 @@ mod tests {
         // A garbage line fails the stream itself.
         let v = check_jsonl("not json\n", &inv);
         assert_eq!(v[0].invariant, "well-formed-stream");
+    }
+
+    /// The checker reconstructs each decision while parsing and then
+    /// drops its badness rows; a corrupt row must still surface as a
+    /// provenance violation naming that decision's time.
+    #[test]
+    fn corrupt_badness_row_is_caught_at_its_decision_time() {
+        let inv = InvariantConfig {
+            check_membership: false,
+            check_conservation: false,
+            ..InvariantConfig::default()
+        };
+        let decision = |at_us: u64, row: &str| {
+            format!(
+                r#"{{"type":"event","at_us":{at_us},"kind":"decision","decision":"none","wa_eff":0.4,"reports":1,"badness":[{row}],"blacklist_nodes":[],"blacklist_clusters":[]}}"#
+            )
+        };
+        let good_row = r#"{"node":3,"cluster":0,"speed":1,"ic":0.1,"worst":false,"badness":0.5}"#;
+        let no_ic_row = r#"{"node":3,"cluster":0,"speed":1,"worst":false,"badness":0.5}"#;
+        let clean = format!(
+            "{}\n{}\n",
+            decision(1_000_000, good_row),
+            decision(2_500_000, good_row)
+        );
+        assert!(check_jsonl(&clean, &inv).is_empty());
+
+        let corrupt = format!(
+            "{}\n{}\n{}\n",
+            decision(1_000_000, good_row),
+            decision(2_500_000, no_ic_row),
+            decision(4_000_000, good_row)
+        );
+        let v = check_jsonl(&corrupt, &inv);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].invariant, "decision-provenance");
+        assert!(
+            v[0].detail.contains("t=2.5s") && v[0].detail.contains("badness.ic"),
+            "{}",
+            v[0].detail
+        );
     }
 
     #[test]

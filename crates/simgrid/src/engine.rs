@@ -15,7 +15,7 @@ use crate::config::{SimConfig, StealPolicy};
 use crate::node::{NodeActivity, SimNode};
 use crate::peers::PeerCache;
 use crate::result::RunResult;
-use sagrid_adapt::coordinator::{Coordinator, Decision, LearnedRequirements};
+use sagrid_adapt::coordinator::{Coordinator, Decision, DecisionLogEntry, LearnedRequirements};
 use sagrid_adapt::feedback::{dominant_term, DominantTerm, FeedbackTuner};
 use sagrid_adapt::hierarchy::HierarchicalCoordinator;
 use sagrid_adapt::{BadnessCoefficients, BandwidthEstimator, SpeedTracker};
@@ -298,6 +298,9 @@ pub struct GridSim {
     // --- results ---
     iteration_durations: Vec<SimDuration>,
     node_count_timeline: Vec<(SimTime, usize)>,
+    /// Every decision's log entry, in order (the coordinator keeps only
+    /// its latest).
+    decisions: Vec<DecisionLogEntry>,
     efficiency_timeline: Vec<(SimTime, f64)>,
     cluster_ic_timeline: Vec<(SimTime, Vec<(ClusterId, f64)>)>,
     aggregate: OverheadBreakdown,
@@ -378,6 +381,7 @@ impl GridSim {
             finished: false,
             iteration_durations: Vec::new(),
             node_count_timeline: Vec::new(),
+            decisions: Vec::new(),
             efficiency_timeline: Vec::new(),
             cluster_ic_timeline: Vec::new(),
             aggregate: OverheadBreakdown::default(),
@@ -1472,18 +1476,22 @@ impl GridSim {
                         .collect()
                 });
             let decision = self.coordinator.evaluate(now, fastest_available);
+            let entry = self
+                .coordinator
+                .main()
+                .last_decision()
+                .expect("evaluate logs");
             if let Some(em) = &self.em {
                 em.decisions.inc();
                 // Every decision becomes a provenance event: the wa_eff,
                 // per-node badness terms and blacklist/learned state that
                 // produced it, reconstructible from the JSONL stream alone.
-                if let Some(entry) = self.coordinator.main().log().last() {
-                    if entry.hold_fire.is_some() {
-                        em.holdfire_decisions.inc();
-                    }
-                    self.metrics.emit(crate::provenance::decision_event(entry));
+                if entry.hold_fire.is_some() {
+                    em.holdfire_decisions.inc();
                 }
+                self.metrics.emit(crate::provenance::decision_event(entry));
             }
+            self.decisions.push(entry.clone());
             if let (Some(snapshot), Decision::RemoveNodes { nodes }) = (&snapshot, &decision) {
                 // Majority dominant term over the removed set.
                 let mut ic_votes = 0usize;
@@ -1675,7 +1683,7 @@ impl GridSim {
             total_runtime,
             iteration_durations: self.iteration_durations,
             node_count_timeline: self.node_count_timeline,
-            decisions: self.coordinator.main().log().to_vec(),
+            decisions: self.decisions,
             efficiency_timeline: self.efficiency_timeline,
             cluster_ic_timeline: self.cluster_ic_timeline,
             aggregate: self.aggregate,
@@ -1950,6 +1958,40 @@ mod tests {
             "one decision event per coordinator log entry"
         );
         assert_eq!(report.events_of_kind("decision").count(), r.decisions.len());
+    }
+
+    /// The engine, not the coordinator, keeps the decision history: one
+    /// entry per evaluation, in emission order, whichever coordinator
+    /// shape decides and whether or not metrics are on.
+    #[test]
+    fn run_result_holds_one_entry_per_decision_event() {
+        use crate::provenance::reconstruct_decision;
+        use sagrid_core::json::parse_json;
+        use sagrid_core::metrics::Metrics;
+        for hierarchical in [false, true] {
+            let mut cfg = base_config();
+            cfg.mode = AdaptMode::Adapt;
+            cfg.workload = quick_workload(20);
+            cfg.policy.monitoring_period = SimDuration::from_secs(10);
+            cfg.hierarchical_coordinator = hierarchical;
+            cfg.injections = InjectionSchedule::new(vec![sagrid_simnet::ScheduledInjection {
+                at: SimTime::from_secs(5),
+                injection: Injection::CrashCluster {
+                    cluster: ClusterId(1),
+                },
+            }]);
+            let r = GridSim::try_run_with_metrics(cfg.clone(), Metrics::enabled()).expect("valid");
+            let report = r.metrics.as_ref().expect("metrics were enabled");
+            assert!(r.decisions.len() > 1, "{} decisions", r.decisions.len());
+            assert_eq!(report.counter("des.decisions"), r.decisions.len() as u64);
+            let events: Vec<_> = report.events_of_kind("decision").collect();
+            assert_eq!(events.len(), r.decisions.len());
+            for (event, entry) in events.iter().zip(&r.decisions) {
+                let json = parse_json(&event.to_json()).expect("event re-parses");
+                assert!(reconstruct_decision(&json).unwrap().matches(entry));
+            }
+            assert_eq!(GridSim::run(cfg).decisions, r.decisions);
+        }
     }
 
     #[test]

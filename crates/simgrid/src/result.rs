@@ -16,7 +16,7 @@ pub struct RunResult {
     pub iteration_durations: Vec<SimDuration>,
     /// `(time, node count)` steps: changes whenever nodes join/leave/crash.
     pub node_count_timeline: Vec<(SimTime, usize)>,
-    /// Coordinator decision log (empty for `AdaptMode::NoAdapt`).
+    /// Every decision's log entry, in order (empty for `AdaptMode::NoAdapt`).
     pub decisions: Vec<DecisionLogEntry>,
     /// Weighted average efficiency samples `(time, value)` at each
     /// coordinator tick.

@@ -29,6 +29,9 @@ fn main() {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_bg = stop.clone();
 
+    // The coordinator keeps only its latest decision; the example keeps
+    // the history it prints at the end.
+    let mut log = Vec::new();
     let rt_handle = adaptive.runtime_handle();
     std::thread::scope(|s| {
         // Background load: keep the pool saturated while we tick.
@@ -41,6 +44,7 @@ fn main() {
         for round in 0..4 {
             std::thread::sleep(Duration::from_millis(250));
             let d = adaptive.tick();
+            log.extend(adaptive.coordinator().last_decision().cloned());
             println!(
                 "  tick {round}: wa_efficiency={:.3}, decision={}, workers={}",
                 adaptive.coordinator().current_wa_efficiency(),
@@ -57,6 +61,7 @@ fn main() {
         for round in 0..4 {
             std::thread::sleep(Duration::from_millis(250));
             let d = adaptive.tick();
+            log.extend(adaptive.coordinator().last_decision().cloned());
             println!(
                 "  tick {round}: wa_efficiency={:.3}, decision={}, workers={}",
                 adaptive.coordinator().current_wa_efficiency(),
@@ -70,7 +75,7 @@ fn main() {
     });
 
     println!("\ncoordinator decision log:");
-    for e in adaptive.coordinator().log() {
+    for e in &log {
         println!(
             "  t={:>6.2}s wa_eff={:.3} nodes={} {}",
             e.at.as_secs_f64(),

@@ -230,6 +230,18 @@ wide_steady 8480 2.2804496305016957
 wide_churn  4560 3.3795889242793447
 bulk_wan    360  0.4544444135790188
 PINS
+# Memory must not grow with run length: a long-lived coordinator keeps
+# only its latest decision. Four times the rounds of the 3 s run above
+# may raise the high-water mark by at most 3 MiB.
+bash benchmark/run.sh --workload paper36 --seed 1 --seconds 12 --trace 0 </dev/null \
+    | tail -n 1 > target/ci_bench_paper36_12s.json
+grep -q '"correct":true' target/ci_bench_paper36_12s.json
+rss() { sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\),.*/\1/p' "$1"; }
+rss_3s="$(rss target/ci_bench_paper36.json)"
+rss_12s="$(rss target/ci_bench_paper36_12s.json)"
+awk -v a="$rss_3s" -v b="$rss_12s" 'BEGIN { exit !(a != "" && b != "" && b - a <= 3) }' \
+    || { echo "  paper36: peak_rss_mb grew $rss_3s -> $rss_12s MiB from 3 s to 12 s" >&2; exit 1; }
+echo "  paper36: peak_rss_mb $rss_3s MiB (3 s), $rss_12s MiB (12 s)"
 # The victim's steal server is one reactor thread however many thieves
 # dial it. A traced run counts 1 + the threads named steal-srv*, so
 # thread-per-connection cannot come back unnoticed.

@@ -14,7 +14,9 @@
 //! * **Bounded non-blocking write queues** — a hard per-connection byte
 //!   bound; a stalled peer drops frames (counted in
 //!   `net.reactor.backpressure_drops`) instead of wedging the loop or
-//!   growing memory without bound.
+//!   growing memory without bound. Queued frames leave in one vectored
+//!   write per connection per turn, and a read shorter than the buffer
+//!   ends that connection's reads for the turn.
 //! * **Timers** — one-shot deadlines with same-deadline FIFO ordering,
 //!   driving heartbeat failure detection and coalesced broadcasts.
 //!
@@ -26,7 +28,7 @@
 use crate::wire::{Message, WireError, MAX_FRAME};
 use sagrid_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -43,6 +45,13 @@ pub const WRITE_QUEUE_BOUND: usize = 4 << 20;
 const LISTENER_TOKEN: u64 = 0;
 const WAKER_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: Token = 2;
+
+/// Most queued frames one `writev` carries (Linux allows 1,024 iovecs).
+const WRITE_BATCH: usize = 64;
+
+/// Size of the shared read buffer; a read that fills less of it has
+/// drained the socket.
+const READ_CHUNK: usize = 64 << 10;
 
 /// Upper bounds (µs) for the loop-iteration latency histogram.
 const LOOP_LATENCY_BOUNDS_US: &[u64] = &[50, 100, 250, 500, 1_000, 5_000, 25_000, 100_000];
@@ -244,6 +253,7 @@ pub struct ReactorMetrics {
     pending_write_bytes: Arc<Gauge>,
     backpressure_drops: Arc<Counter>,
     stalls: Arc<Counter>,
+    write_calls: Arc<Counter>,
     register_failures: Arc<Counter>,
     frames_sent: Arc<Counter>,
     frames_received: Arc<Counter>,
@@ -266,6 +276,7 @@ impl ReactorMetrics {
                 .counter("net.reactor.backpressure_drops")
                 .expect("enabled"),
             stalls: m.counter("net.reactor.stalls").expect("enabled"),
+            write_calls: m.counter("net.reactor.write_calls").expect("enabled"),
             register_failures: m.counter("net.reactor.register_failures").expect("enabled"),
             frames_sent: m.counter("net.frames_sent").expect("enabled"),
             frames_received: m.counter("net.frames_received").expect("enabled"),
@@ -312,11 +323,42 @@ struct Conn {
     read_closed: bool,
     /// A local graceful close: drain the queue, then report `Closed`.
     closing: bool,
+    /// The token is in `Reactor::dirty` (each token at most once).
+    dirty: bool,
 }
 
 impl Conn {
     fn done_writing(&self) -> bool {
         self.wq.is_empty()
+    }
+
+    /// One `writev` of up to [`WRITE_BATCH`] queued frames, the front one
+    /// from `wq_head`.
+    fn write_batch(&mut self) -> io::Result<usize> {
+        let mut iov = [IoSlice::new(&[]); WRITE_BATCH];
+        let mut n = 0;
+        for (slot, frame) in iov.iter_mut().zip(&self.wq) {
+            let from = if n == 0 { self.wq_head } else { 0 };
+            *slot = IoSlice::new(&frame[from..]);
+            n += 1;
+        }
+        (&self.stream).write_vectored(&iov[..n])
+    }
+
+    /// Retires `n` written bytes: pops whole frames and leaves `wq_head`
+    /// inside a partly written one.
+    fn advance(&mut self, mut n: usize) {
+        self.wq_bytes -= n;
+        while let Some(front) = self.wq.front() {
+            let left = front.len() - self.wq_head;
+            if n < left {
+                self.wq_head += n;
+                return;
+            }
+            n -= left;
+            self.wq.pop_front();
+            self.wq_head = 0;
+        }
     }
 }
 
@@ -345,7 +387,8 @@ pub struct Reactor {
     /// same-deadline timers fire in arm order (FIFO).
     timers: BinaryHeap<std::cmp::Reverse<(Instant, u64, u64)>>,
     timer_seq: u64,
-    /// Tokens with queued writes to attempt on the next flush pass.
+    /// Tokens with queued writes to attempt on the next flush pass; a
+    /// token is listed at most once (`Conn::dirty`).
     dirty: Vec<Token>,
     waker_rx: Option<UnixStream>,
     waker_tx: Option<Arc<UnixStream>>,
@@ -385,7 +428,7 @@ impl Reactor {
             waker_tx: None,
             wq_bound: WRITE_QUEUE_BOUND,
             rm: ReactorMetrics::resolve(metrics),
-            scratch: vec![0u8; 64 << 10],
+            scratch: vec![0u8; READ_CHUNK],
             ep_events: Vec::with_capacity(1024),
         })
     }
@@ -453,6 +496,7 @@ impl Reactor {
                 want_write: false,
                 read_closed: false,
                 closing: false,
+                dirty: false,
             },
         );
         if let Some(rm) = &self.rm {
@@ -516,7 +560,9 @@ impl Reactor {
             rm.bytes_sent.add(frame.len() as u64);
         }
         conn.wq.push_back(frame);
-        self.dirty.push(token);
+        if !std::mem::replace(&mut conn.dirty, true) {
+            self.dirty.push(token);
+        }
         true
     }
 
@@ -530,7 +576,9 @@ impl Reactor {
     pub fn close(&mut self, token: Token) {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.closing = true;
-            self.dirty.push(token);
+            if !std::mem::replace(&mut conn.dirty, true) {
+                self.dirty.push(token);
+            }
         }
     }
 
@@ -544,25 +592,26 @@ impl Reactor {
     }
 
     /// Non-blockingly drains as much of `token`'s queue as the socket
-    /// accepts. Returns `Err(())` when the connection must die.
+    /// accepts, [`WRITE_BATCH`] frames per `writev`. Returns `Err(())` when
+    /// the connection must die.
     fn try_write(&mut self, token: Token) -> Result<(), ()> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return Ok(());
         };
         let mut wrote = 0usize;
         let dead = loop {
-            let Some(front) = conn.wq.front() else {
+            if conn.done_writing() {
                 break false;
-            };
-            match conn.stream.write(&front[conn.wq_head..]) {
+            }
+            let res = conn.write_batch();
+            if let Some(rm) = &self.rm {
+                rm.write_calls.inc();
+            }
+            match res {
                 Ok(0) => break true,
                 Ok(n) => {
-                    conn.wq_head += n;
+                    conn.advance(n);
                     wrote += n;
-                    if conn.wq_head == front.len() {
-                        conn.wq.pop_front();
-                        conn.wq_head = 0;
-                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     // The socket buffer is full: register write interest and
@@ -580,7 +629,6 @@ impl Reactor {
                 Err(_) => break true,
             }
         };
-        conn.wq_bytes -= wrote.min(conn.wq_bytes);
         if let Some(rm) = &self.rm {
             rm.pending_write_bytes.add(-(wrote as i64));
         }
@@ -616,7 +664,10 @@ impl Reactor {
         }
     }
 
-    /// Reads `token` to `WouldBlock`, decoding frames into `out`.
+    /// Reads `token` until a read comes back shorter than the scratch
+    /// buffer (or would block), decoding frames into `out`. Interest is
+    /// level-triggered, so bytes or an EOF that arrive later are reported
+    /// again on the next turn.
     fn handle_readable(&mut self, token: Token, out: &mut Vec<ReactorEvent>) {
         let mut msgs: Vec<Message> = Vec::new();
         let verdict = loop {
@@ -643,6 +694,9 @@ impl Reactor {
                             rm.decode_errors.inc();
                         }
                         break Err(());
+                    }
+                    if n < self.scratch.len() {
+                        break Ok(());
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
@@ -726,13 +780,10 @@ impl Reactor {
         let t0 = Instant::now();
 
         // 1. Flush pass over queues touched since the last turn.
-        let dirty = std::mem::take(&mut self.dirty);
-        let mut seen = Vec::with_capacity(dirty.len());
-        for token in dirty {
-            if seen.contains(&token) {
-                continue;
+        for token in std::mem::take(&mut self.dirty) {
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.dirty = false;
             }
-            seen.push(token);
             if self.try_write(token).is_err() {
                 self.reap(token, out);
             }
@@ -1079,6 +1130,118 @@ mod tests {
         );
         assert!(report.counter("net.reactor.stalls") >= 1);
         drop(peer);
+    }
+
+    #[test]
+    fn queued_frames_leave_in_one_write() {
+        let m = Metrics::enabled();
+        let mut reactor = Reactor::new(&m).unwrap();
+        let (token, mut peer) = pair(&mut reactor);
+
+        let sent: Vec<Message> = (0..32)
+            .map(|i| Message::Heartbeat { node: NodeId(i) })
+            .collect();
+        for msg in &sent {
+            assert!(reactor.send(token, msg));
+        }
+        let mut out = Vec::new();
+        reactor.poll(&mut out, Duration::ZERO).unwrap();
+        assert_eq!(m.report().counter("net.reactor.write_calls"), 1);
+        assert_eq!(reactor.pending_write_bytes(), 0);
+
+        let got: Vec<Message> = (0..sent.len())
+            .map(|_| crate::wire::recv_message(&mut peer).unwrap().unwrap())
+            .collect();
+        assert_eq!(got, sent);
+    }
+
+    #[test]
+    fn partial_writes_resume_inside_frames_and_across_batches() {
+        let m = Metrics::enabled();
+        let mut reactor = Reactor::new(&m).unwrap();
+        reactor.set_write_queue_bound(64 << 20);
+        let (token, mut peer) = pair(&mut reactor);
+
+        // Payloads from 1 B (`Shutdown`) to 70 KiB, ~16 MB in all: far more
+        // frames than one `writev` carries and more bytes than the socket
+        // buffers hold while the peer is not reading.
+        let sizes = [0usize, 1, 13, 255, 4_095, 16_384, 65_535, 70 << 10];
+        let sent: Vec<Message> = (0..800)
+            .map(|i| match sizes[i % sizes.len()] {
+                0 => Message::Shutdown,
+                n => Message::JoinAck {
+                    node: NodeId(i as u32),
+                    accepted: i % 2 == 0,
+                    reason: "r".repeat(n),
+                },
+            })
+            .collect();
+        let mut expected = Vec::new();
+        for msg in &sent {
+            let frame = Reactor::encode_frame(msg);
+            expected.extend_from_slice(&frame);
+            assert!(reactor.send_frame(token, frame));
+        }
+
+        let stalled = |m: &Metrics| m.report().counter("net.reactor.stalls") >= 1;
+        let mut out = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !stalled(&m) {
+            assert!(Instant::now() < deadline, "the socket never filled");
+            reactor.poll(&mut out, Duration::from_millis(5)).unwrap();
+        }
+        assert!(reactor.pending_write_bytes() > 0);
+
+        let total = expected.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; total];
+            peer.read_exact(&mut got).unwrap();
+            got
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reactor.pending_write_bytes() > 0 {
+            assert!(Instant::now() < deadline, "the queue never drained");
+            reactor.poll(&mut out, Duration::from_millis(5)).unwrap();
+        }
+        let got = reader.join().unwrap();
+        assert!(got == expected, "bytes on the wire differ from the queue");
+        let mut decoded = Vec::new();
+        FrameDecoder::new().feed(&got, &mut decoded).unwrap();
+        assert_eq!(decoded, sent);
+        assert_eq!(m.report().gauge("net.reactor.pending_write_bytes"), 0);
+        assert!(out.is_empty(), "unexpected events: {out:?}");
+    }
+
+    #[test]
+    fn short_read_stop_still_reports_eof_once() {
+        let m = Metrics::disabled();
+        let mut reactor = Reactor::new(&m).unwrap();
+        let (token, mut peer) = pair(&mut reactor);
+
+        let sent: Vec<Message> = (0..3)
+            .map(|i| Message::Heartbeat { node: NodeId(i) })
+            .collect();
+        let burst: Vec<u8> = sent.iter().flat_map(|m| m.frame()).collect();
+        peer.write_all(&burst).unwrap();
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
+
+        let mut out = Vec::new();
+        poll_until(&mut reactor, &mut out, |evs| {
+            evs.iter().any(|e| matches!(e, ReactorEvent::Closed(_)))
+        });
+        for _ in 0..3 {
+            reactor.poll(&mut out, Duration::from_millis(5)).unwrap();
+        }
+        let mut got = Vec::new();
+        for (i, e) in out.iter().enumerate() {
+            match e {
+                ReactorEvent::Frame(t, msg) if *t == token => got.push(msg.clone()),
+                ReactorEvent::Closed(t) if *t == token => assert_eq!(i, out.len() - 1),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        assert_eq!(got, sent);
+        assert!(!reactor.has_conn(token));
     }
 
     #[test]

@@ -60,3 +60,9 @@ pub use config::{ClusterLayout, RuntimeConfig};
 pub use job::JoinHandle;
 pub use runtime::{Runtime, WorkerId};
 pub use worker::{RemoteStealHook, WorkerCtx};
+
+/// Held by the unit tests that time CPU work, so the one that saturates
+/// the pool for most of a second does not run beside the ones that
+/// compare benchmark durations.
+#[cfg(test)]
+pub(crate) static CPU_TIMING: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -385,6 +385,7 @@ mod tests {
 
     #[test]
     fn speed_penalty_does_not_compound_through_nested_joins() {
+        let _cpu = crate::CPU_TIMING.lock().unwrap_or_else(|e| e.into_inner());
         // fib(16) joins ~16 levels deep. A 0.25-speed worker must take ~4x
         // as long as a full-speed one; padding the inclusive time of every
         // level took 4^depth and never finished.
@@ -415,6 +416,7 @@ mod tests {
 
     #[test]
     fn benchmark_reflects_speed_knob() {
+        let _cpu = crate::CPU_TIMING.lock().unwrap_or_else(|e| e.into_inner());
         let rt = Runtime::new(RuntimeConfig::single_cluster(2));
         // The fastest of three runs, so one run slowed by a busy machine
         // cannot inflate the baseline.

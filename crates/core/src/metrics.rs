@@ -17,7 +17,12 @@
 //!    single relaxed atomic RMWs. The registry's interior mutex is only
 //!    taken when a handle is first resolved or an [`MetricEvent`] is
 //!    emitted (events are rare, decision-frequency occurrences).
-//! 3. **No dependencies.** JSON emission and parsing are hand-rolled,
+//! 3. **One copy of the event log.** [`Metrics::emit`] serialises the
+//!    event into its JSON Lines record right away; the registry holds
+//!    only that text. [`Metrics::report`] shares it with the
+//!    [`MetricsReport`] instead of copying it, and
+//!    [`Metrics::take_events`] hands it to a caller that streams it out.
+//! 4. **No dependencies.** JSON emission and parsing are hand-rolled,
 //!    mirroring the style of the benchmark reporter.
 //!
 //! # Example
@@ -37,7 +42,7 @@
 //! );
 //! let report = m.report();
 //! assert_eq!(report.counter("steals_ok"), 3);
-//! assert_eq!(report.events.len(), 1);
+//! assert_eq!(report.events_of_kind("steal_burst").count(), 1);
 //! ```
 
 use crate::json::{write_f64, write_json_string};
@@ -230,18 +235,22 @@ impl MetricEvent {
     /// without the trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.fields.len() * 24);
+        self.write_json(&mut out);
+        out
+    }
+
+    fn write_json(&self, out: &mut String) {
         out.push_str("{\"type\":\"event\",\"at_us\":");
         let _ = write!(out, "{}", self.at_micros);
         out.push_str(",\"kind\":");
-        write_json_string(&mut out, &self.kind);
+        write_json_string(out, &self.kind);
         for (k, v) in &self.fields {
             out.push(',');
-            write_json_string(&mut out, k);
+            write_json_string(out, k);
             out.push(':');
-            v.write_json(&mut out);
+            v.write_json(out);
         }
         out.push('}');
-        out
     }
 }
 
@@ -250,7 +259,10 @@ struct Inner {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    events: Mutex<Vec<MetricEvent>>,
+    /// Every emitted event as one JSONL record, in emission order. A
+    /// report shares it; an emit while a report still holds it copies it
+    /// first (copy-on-write).
+    events: Mutex<Arc<String>>,
 }
 
 /// Handle to a metrics registry, or the disabled no-op variant.
@@ -313,19 +325,32 @@ impl Metrics {
         ))
     }
 
-    /// Buffers a structured event. No-op when disabled.
+    /// Appends the event's JSONL record to the buffered event text. No-op
+    /// when disabled.
     pub fn emit(&self, event: MetricEvent) {
         if let Some(inner) = &self.inner {
-            inner
-                .events
-                .lock()
-                .expect("metrics lock poisoned")
-                .push(event);
+            let mut events = inner.events.lock().expect("metrics lock poisoned");
+            let text = Arc::make_mut(&mut events);
+            event.write_json(text);
+            text.push('\n');
         }
     }
 
-    /// Takes a consistent snapshot of every instrument and all buffered
-    /// events, sorted by name. An empty report when disabled.
+    /// Hands over the event text emitted since the registry was created
+    /// or since the last call, and clears it; instruments are untouched.
+    /// Appending every handed-over text, then a final
+    /// [`MetricsReport::to_jsonl`], writes exactly what one `to_jsonl` at
+    /// the end would have. Empty when disabled.
+    pub fn take_events(&self) -> String {
+        let Some(inner) = &self.inner else {
+            return String::new();
+        };
+        let text = std::mem::take(&mut *inner.events.lock().expect("metrics lock poisoned"));
+        Arc::unwrap_or_clone(text)
+    }
+
+    /// Takes a consistent snapshot of every instrument, sorted by name,
+    /// and shares the buffered event text. An empty report when disabled.
     pub fn report(&self) -> MetricsReport {
         let Some(inner) = &self.inner else {
             return MetricsReport::default();
@@ -362,7 +387,7 @@ impl Metrics {
                 )
             })
             .collect();
-        let events = inner.events.lock().expect("metrics lock poisoned").clone();
+        let events = Arc::clone(&inner.events.lock().expect("metrics lock poisoned"));
         MetricsReport {
             counters,
             gauges,
@@ -386,8 +411,8 @@ pub struct HistogramSnapshot {
 }
 
 /// A point-in-time snapshot of a registry: instruments sorted by name
-/// plus the ordered event log. Attachable to run results and
-/// serialisable to JSON Lines.
+/// plus the ordered event log, held as the JSONL text the registry
+/// wrote. Attachable to run results and serialisable to JSON Lines.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsReport {
     /// `(name, value)` for every counter, sorted by name.
@@ -396,8 +421,9 @@ pub struct MetricsReport {
     pub gauges: Vec<(String, i64)>,
     /// `(name, snapshot)` for every histogram, sorted by name.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Buffered events in emission order.
-    pub events: Vec<MetricEvent>,
+    /// One JSONL record per buffered event, in emission order; shared
+    /// with the registry, not copied.
+    events: Arc<String>,
 }
 
 impl MetricsReport {
@@ -417,9 +443,20 @@ impl MetricsReport {
             .map_or(0, |(_, v)| *v)
     }
 
-    /// Events of the given kind, in emission order.
-    pub fn events_of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a MetricEvent> {
-        self.events.iter().filter(move |e| e.kind == kind)
+    /// The buffered events as JSON Lines, one record per line in
+    /// emission order.
+    pub fn events_jsonl(&self) -> &str {
+        &self.events
+    }
+
+    /// The events of the given kind, each parsed from its line, in
+    /// emission order. Panics on a line that does not parse, which only
+    /// a malformed [`Value::Raw`] field can produce.
+    pub fn events_of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = JsonValue> + 'a {
+        self.events
+            .lines()
+            .map(|line| parse_json(line).expect("emitted events are valid JSON"))
+            .filter(move |e| e.get("kind").and_then(JsonValue::as_str) == Some(kind))
     }
 
     /// Whether the report holds no instruments and no events.
@@ -434,11 +471,9 @@ impl MetricsReport {
     /// then one record per counter, gauge and histogram. Deterministic
     /// for a deterministic run.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
+        let instruments = self.counters.len() + self.gauges.len() + self.histograms.len();
+        let mut out = String::with_capacity(self.events.len() + 64 * instruments);
+        out.push_str(&self.events);
         for (name, value) in &self.counters {
             out.push_str("{\"type\":\"counter\",\"name\":");
             write_json_string(&mut out, name);
@@ -556,6 +591,67 @@ mod tests {
         assert_eq!(ev.get("eff").and_then(JsonValue::as_f64), Some(0.8125));
         assert_eq!(ev.get("ok").and_then(JsonValue::as_bool), Some(true));
         assert_eq!(ev.get("delta").and_then(JsonValue::as_f64), Some(-3.0));
+    }
+
+    #[test]
+    fn emit_writes_the_event_record_and_report_shares_it() {
+        let m = Metrics::enabled();
+        let first = MetricEvent::new(1, "a").with("node", Value::U64(3));
+        m.emit(first.clone());
+        let a = m.report();
+        let b = m.report();
+        assert_eq!(a.events_jsonl(), format!("{}\n", first.to_json()));
+        // Both reports read the registry's own buffer: no copy.
+        assert!(std::ptr::eq(a.events_jsonl(), b.events_jsonl()));
+        // A later emit copies on write; the reports keep their snapshot.
+        m.emit(MetricEvent::new(2, "b"));
+        assert_eq!(a.events_jsonl().lines().count(), 1);
+        let c = m.report();
+        assert_eq!(c.events_jsonl().lines().count(), 2);
+        assert!(c.events_jsonl().starts_with(a.events_jsonl()));
+        assert_eq!(c.events_of_kind("b").count(), 1);
+    }
+
+    /// Streaming the event text out as it accumulates, then writing the
+    /// final report, reproduces the one-shot `to_jsonl` byte for byte.
+    #[test]
+    fn drained_events_plus_final_report_equal_the_undrained_jsonl() {
+        use crate::rng::Rng64;
+        let mut rng = crate::rng::SplitMix64::new(0x5eed);
+        for _ in 0..50 {
+            let whole = Metrics::enabled();
+            let drained = Metrics::enabled();
+            let mut streamed = String::new();
+            for i in 0..rng.next_u64() % 40 {
+                let event = MetricEvent::new(i, "e")
+                    .with("x", Value::F64(i as f64 / 3.0))
+                    .with("s", Value::Str(format!("n{i}\"")));
+                whole.emit(event.clone());
+                drained.emit(event);
+                for m in [&whole, &drained] {
+                    m.counter("c").unwrap().add(i);
+                    m.gauge("g").unwrap().set(i as i64);
+                    m.histogram("h", &[5, 10]).unwrap().record(i);
+                }
+                match rng.next_u64() % 4 {
+                    0 => streamed.push_str(&drained.take_events()),
+                    // A report held across a drain keeps its own text.
+                    1 => {
+                        let held = drained.report();
+                        let text = drained.take_events();
+                        assert_eq!(held.events_jsonl(), text);
+                        streamed.push_str(&text);
+                    }
+                    _ => {}
+                }
+            }
+            streamed.push_str(&drained.take_events());
+            let report = drained.report();
+            assert!(report.events_jsonl().is_empty());
+            streamed.push_str(&report.to_jsonl());
+            assert_eq!(streamed, whole.report().to_jsonl());
+        }
+        assert!(Metrics::disabled().take_events().is_empty());
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!
 //! Every decision is also emitted as a `"decision"` metric event (via
 //! [`sagrid_simgrid::provenance::decision_event`]), so the JSONL stream
-//! written at shutdown reconstructs through
+//! reconstructs through
 //! [`sagrid_simgrid::provenance::reconstruct_decision`] exactly like an
 //! in-process run's. The daemon round-trips each event through the parser
 //! as it emits it, fails on the first mismatch, and prints
-//! `PROVENANCE_OK n=<entries>` at shutdown.
+//! `PROVENANCE_OK n=<entries>` at shutdown. Each event is appended to
+//! `--out` as soon as it is emitted, and the instrument records follow at
+//! shutdown, so memory does not grow with the number of decisions.
 
 use sagrid_adapt::{AdaptPolicy, Coordinator, Decision, SpeedTracker};
 use sagrid_core::json::parse_json;
@@ -22,6 +24,7 @@ use sagrid_net::conn::{Connection, NetEvent};
 use sagrid_net::wire::Message;
 use sagrid_net::{Args, Backoff, HubSet};
 use sagrid_simgrid::provenance::{decision_event, reconstruct_decision};
+use std::fs::File;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc::{channel, RecvTimeoutError};
@@ -36,7 +39,24 @@ fn run() -> Result<(), String> {
     let hubs = HubSet::parse(&args.require::<String>("hub")?)?;
     let period = Duration::from_millis(args.get_or("period-ms", 600u64)?);
     let warmup = Duration::from_millis(args.get_or("warmup-ms", 0u64)?);
-    let out = args.get("out").map(str::to_string);
+    let mut out = match args.get("out") {
+        Some(path) => {
+            if let Some(dir) = std::path::Path::new(path).parent() {
+                std::fs::create_dir_all(dir).map_err(|e| format!("create {dir:?}: {e}"))?;
+            }
+            let file = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+            Some((path.to_string(), file))
+        }
+        None => None,
+    };
+    let mut append = |text: &str| -> Result<(), String> {
+        match &mut out {
+            Some((path, file)) => file
+                .write_all(text.as_bytes())
+                .map_err(|e| format!("write {path}: {e}")),
+            None => Ok(()),
+        }
+    };
 
     let (events_tx, events_rx) = channel::<NetEvent>();
     let mut backoff = Backoff::new(
@@ -225,6 +245,7 @@ fn run() -> Result<(), String> {
                 ));
             }
             metrics.emit(event);
+            append(&metrics.take_events())?;
             emitted += 1;
             if entry.hold_fire.is_some() {
                 holdfire_decisions.inc();
@@ -239,14 +260,8 @@ fn run() -> Result<(), String> {
         }
     };
     println!("PROVENANCE_OK n={emitted}");
-    let report = metrics.report();
-
-    if let Some(path) = out {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("create {dir:?}: {e}"))?;
-        }
-        std::fs::write(&path, report.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
-    }
+    // Every event is out already; this adds the instrument records.
+    append(&metrics.report().to_jsonl())?;
     let _ = shutdown;
     Ok(())
 }

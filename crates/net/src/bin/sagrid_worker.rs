@@ -65,8 +65,11 @@ fn connect(hubs: &mut HubSet, backoff: &mut Backoff) -> Result<TcpStream, String
 ///
 /// A refusal whose reason starts with `"standby"` is *transient* — the
 /// address answered but is not (yet) the primary — so the worker rotates
-/// to the next hub and retries instead of exiting. Every other refusal
-/// (e.g. blacklisted after a crash) is fatal: exit 3.
+/// to the next hub and retries instead of exiting. A connection that
+/// drops before its verdict, or whose setup fails (a dial that a dying
+/// listener accepted and then reset fails `peer_addr` with `ENOTCONN`),
+/// is retried the same way. Every other refusal (e.g. blacklisted after a
+/// crash) is fatal: exit 3.
 fn join(
     hubs: &mut HubSet,
     cluster: ClusterId,
@@ -80,43 +83,23 @@ fn join(
     loop {
         let stream = connect(hubs, backoff)?;
         *next_conn += 1;
-        let conn = Connection::spawn(*next_conn, stream, events.clone())
-            .map_err(|e| format!("connection setup: {e}"))?;
-        conn.send(Message::Join { cluster, claim });
-        let deadline = Instant::now() + Duration::from_secs(10);
-        // None = the connection dropped before a verdict arrived (a hub
-        // torn down mid-dial); treated like a standby refusal below.
-        let verdict = loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match inbox.recv_timeout(left) {
-                Ok(NetEvent::Message(
-                    id,
-                    Message::JoinAck {
-                        node,
-                        accepted,
-                        reason,
-                    },
-                )) if id == conn.id() => break Some((node, accepted, reason)),
-                Ok(NetEvent::Closed(id)) if id == conn.id() => break None,
-                // Stale events from a previous connection: ignore.
-                Ok(_) => continue,
-                Err(_) => return Err("timed out waiting for join ack".to_string()),
-            }
-        };
-        match verdict {
-            Some((node, true, _)) => {
-                backoff.reset();
-                return Ok((conn, node));
-            }
-            Some((_, false, reason)) if reason.starts_with("standby") => {
-                println!("JOIN_DEFERRED {reason}");
-            }
-            Some((_, false, reason)) => {
-                println!("JOIN_REFUSED {reason}");
-                std::io::stdout().flush().ok();
-                std::process::exit(3);
-            }
-            None => {}
+        match Connection::spawn(*next_conn, stream, events.clone()) {
+            Ok(conn) => match verdict(&conn, cluster, claim, inbox)? {
+                Some((node, true, _)) => {
+                    backoff.reset();
+                    return Ok((conn, node));
+                }
+                Some((_, false, reason)) if reason.starts_with("standby") => {
+                    println!("JOIN_DEFERRED {reason}");
+                }
+                Some((_, false, reason)) => {
+                    println!("JOIN_REFUSED {reason}");
+                    std::io::stdout().flush().ok();
+                    std::process::exit(3);
+                }
+                None => {}
+            },
+            Err(e) => println!("JOIN_SETUP_FAILED {e}"),
         }
         soft_refusals += 1;
         if soft_refusals > MAX_CONNECT_ATTEMPTS * hubs.len() as u32 {
@@ -124,6 +107,36 @@ fn join(
         }
         hubs.advance();
         std::thread::sleep(backoff.next_delay());
+    }
+}
+
+/// Sends the join on `conn` and waits for its `(node, accepted, reason)`
+/// verdict; `None` when the connection dropped before one arrived (a hub
+/// torn down mid-dial).
+fn verdict(
+    conn: &Connection,
+    cluster: ClusterId,
+    claim: Option<NodeId>,
+    inbox: &Receiver<NetEvent>,
+) -> Result<Option<(NodeId, bool, String)>, String> {
+    conn.send(Message::Join { cluster, claim });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match inbox.recv_timeout(left) {
+            Ok(NetEvent::Message(
+                id,
+                Message::JoinAck {
+                    node,
+                    accepted,
+                    reason,
+                },
+            )) if id == conn.id() => return Ok(Some((node, accepted, reason))),
+            Ok(NetEvent::Closed(id)) if id == conn.id() => return Ok(None),
+            // Stale events from a previous connection: ignore.
+            Ok(_) => continue,
+            Err(_) => return Err("timed out waiting for join ack".to_string()),
+        }
     }
 }
 

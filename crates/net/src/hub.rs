@@ -975,6 +975,7 @@ impl Hub {
 mod tests {
     use super::*;
     use crate::replica::{StandbyConfig, StandbyCore, StandbyOutcome};
+    use sagrid_core::json::JsonValue;
     use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
     use sagrid_core::stats::OverheadBreakdown;
 
@@ -1633,9 +1634,10 @@ mod tests {
         let report = metrics.report();
         let failover: Vec<_> = report.events_of_kind("hub_failover").collect();
         assert_eq!(failover.len(), 1);
-        assert!(failover[0]
-            .fields
-            .contains(&("digest".to_string(), Value::Str(format!("{digest:016x}")))));
+        assert_eq!(
+            failover[0].get("digest").and_then(JsonValue::as_str),
+            Some(format!("{digest:016x}").as_str())
+        );
         assert_eq!(
             report.events_of_kind("member").count(),
             0,

@@ -741,9 +741,11 @@ impl Reactor {
         }
     }
 
-    /// Waits on the epoll instance for up to `timeout`.
+    /// Waits on the epoll instance for up to `timeout`, rounded up to
+    /// whole milliseconds: rounding down would turn the last fraction of
+    /// a millisecond before a timer deadline into zero-timeout spins.
     fn wait(&mut self, timeout: Duration) -> Vec<Ready> {
-        let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+        let timeout_ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
         self.ep_events
             .resize(1024, sys::EpollEvent { events: 0, data: 0 });
         // Safety: the events buffer outlives the call; the kernel writes at
@@ -1025,6 +1027,25 @@ mod tests {
             })
             .collect();
         assert_eq!(fired, vec![1, 10, 11, 12, 99]);
+    }
+
+    /// A wait that ends inside the last millisecond before a deadline
+    /// sleeps to the deadline instead of polling with a zero timeout.
+    #[test]
+    fn idle_poll_sleeps_until_the_timer_instead_of_spinning() {
+        let m = Metrics::disabled();
+        let mut reactor = Reactor::new(&m).unwrap();
+        let deadline = Instant::now() + Duration::from_micros(5_500);
+        reactor.arm_timer(3, deadline);
+        let mut out = Vec::new();
+        let mut polls = 0;
+        while out.is_empty() {
+            reactor.poll(&mut out, Duration::from_secs(1)).unwrap();
+            polls += 1;
+        }
+        assert!(matches!(out[..], [ReactorEvent::Timer(3)]), "{out:?}");
+        assert!(Instant::now() >= deadline);
+        assert!(polls <= 3, "{polls} polls before a 5.5 ms timer fired");
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use sagrid_core::json::{parse_json, JsonValue};
 use sagrid_simgrid::provenance::reconstruct_decision;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Tunables of the invariant checker.
 #[derive(Clone, Debug)]
@@ -89,19 +90,103 @@ fn u64_field(v: &JsonValue, key: &str) -> Option<u64> {
     v.get(key).and_then(|x| x.as_u64())
 }
 
-fn u64_set(v: &JsonValue, key: &str) -> BTreeSet<u64> {
-    v.get(key)
+/// The distinct integer ids of array field `key`, ascending; empty when
+/// the field is absent or not an array.
+fn u64_set(v: &JsonValue, key: &str) -> Vec<u64> {
+    let mut ids: Vec<u64> = v
+        .get(key)
         .and_then(|x| x.as_arr())
         .map(|arr| arr.iter().filter_map(|e| e.as_u64()).collect())
-        .unwrap_or_default()
+        .unwrap_or_default();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
-/// Everything the checker extracted from one JSONL stream.
+fn contains(set: &[u64], id: u64) -> bool {
+    set.binary_search(&id).is_ok()
+}
+
+fn is_superset(set: &[u64], of: &[u64]) -> bool {
+    of.iter().all(|&id| contains(set, id))
+}
+
+/// `ids`, reusing `prev`'s allocation when they are equal.
+fn shared(ids: Vec<u64>, prev: Option<&Rc<[u64]>>) -> Rc<[u64]> {
+    match prev {
+        Some(p) if **p == *ids => Rc::clone(p),
+        _ => ids.into(),
+    }
+}
+
+/// What the checks read of one `decision` line.
+struct DecisionRecord {
+    at: u64,
+    /// The `decision` field; empty when absent.
+    kind: String,
+    wa_eff: Option<f64>,
+    remove: Vec<u64>,
+    suspects: Vec<u64>,
+    /// Shared with the previous decision's when equal: the blacklists
+    /// are cumulative and most decisions repeat them.
+    blacklist_nodes: Rc<[u64]>,
+    blacklist_clusters: Rc<[u64]>,
+    hold_fire: bool,
+}
+
+/// A `member` line's state; lines without a node or a state are not
+/// kept, since no check reads them.
+#[derive(Clone, Copy, PartialEq)]
+enum MemberState {
+    Joined,
+    Suspect,
+    /// Any other state (alive, died, left): it closes a suspect interval.
+    Other,
+}
+
+/// An `injection` line's `injection` sub-kind, as far as a check tells
+/// them apart.
+#[derive(Clone, Copy, PartialEq)]
+enum InjectionKind {
+    Grow,
+    Shrink,
+    /// `crash_cluster` or `crash_nodes`.
+    Crash,
+    CrashHub,
+    Other,
+}
+
+impl InjectionKind {
+    fn of(v: &JsonValue) -> Self {
+        match v.get("injection").and_then(|k| k.as_str()) {
+            Some("grow") => Self::Grow,
+            Some("shrink") => Self::Shrink,
+            Some("crash_cluster" | "crash_nodes") => Self::Crash,
+            Some("crash_hub") => Self::CrashHub,
+            _ => Self::Other,
+        }
+    }
+}
+
+/// What the checker keeps of one JSONL stream: one typed record per
+/// event line the checks read, holding only the fields they read. Each
+/// line's parse tree is dropped as soon as its record is built.
+#[derive(Default)]
 struct Stream {
-    /// `(at_us, kind, parsed line)` for every event record, in order.
-    /// `decision` lines have their `badness` array dropped once
-    /// reconstructed: no check reads it again.
-    events: Vec<(u64, String, JsonValue)>,
+    /// Latest `at_us` of any event line.
+    t_end: u64,
+    decisions: Vec<DecisionRecord>,
+    /// `(at_us, node, state)`.
+    members: Vec<(u64, u64, MemberState)>,
+    /// `(at_us, (node, cluster))`.
+    joins: Vec<(u64, Option<(u64, u64)>)>,
+    /// `(at_us, node)`.
+    leaves: Vec<(u64, Option<u64>)>,
+    /// `(at_us, distinct victims)`.
+    crashes: Vec<(u64, u64)>,
+    injections: Vec<(u64, InjectionKind)>,
+    /// `(at_us, epoch, inherited blacklisted nodes)` per `hub_failover`.
+    failovers: Vec<(u64, Option<u64>, Vec<u64>)>,
     /// `(at_us, error)` per `decision` line that failed reconstruction.
     unreconstructed: Vec<(u64, String)>,
     counters: Vec<(String, u64)>,
@@ -112,37 +197,18 @@ struct Stream {
 
 impl Stream {
     fn parse(jsonl: &str) -> Result<Stream, String> {
-        let mut s = Stream {
-            events: Vec::new(),
-            unreconstructed: Vec::new(),
-            counters: Vec::new(),
-            gauges: Vec::new(),
-            histograms: Vec::new(),
-        };
+        let mut s = Stream::default();
         for (lineno, line) in jsonl.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            let mut v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
             let ty = v.get("type").and_then(|t| t.as_str()).unwrap_or("");
             match ty {
                 "event" => {
                     let at = u64_field(&v, "at_us")
                         .ok_or_else(|| format!("line {}: event without at_us", lineno + 1))?;
-                    let kind = v
-                        .get("kind")
-                        .and_then(|k| k.as_str())
-                        .unwrap_or("")
-                        .to_string();
-                    if kind == "decision" {
-                        if let Err(e) = reconstruct_decision(&v) {
-                            s.unreconstructed.push((at, e));
-                        }
-                        if let JsonValue::Obj(pairs) = &mut v {
-                            pairs.retain(|(k, _)| k != "badness");
-                        }
-                    }
-                    s.events.push((at, kind, v));
+                    s.push_event(at, &v);
                 }
                 "counter" | "gauge" | "histogram" => {
                     let name = v
@@ -172,6 +238,64 @@ impl Stream {
         Ok(s)
     }
 
+    /// Keeps the record of one event line.
+    fn push_event(&mut self, at: u64, v: &JsonValue) {
+        self.t_end = self.t_end.max(at);
+        match v.get("kind").and_then(|k| k.as_str()).unwrap_or("") {
+            "decision" => {
+                if let Err(e) = reconstruct_decision(v) {
+                    self.unreconstructed.push((at, e));
+                }
+                let prev = self.decisions.last();
+                let blacklist_nodes = shared(
+                    u64_set(v, "blacklist_nodes"),
+                    prev.map(|d| &d.blacklist_nodes),
+                );
+                let blacklist_clusters = shared(
+                    u64_set(v, "blacklist_clusters"),
+                    prev.map(|d| &d.blacklist_clusters),
+                );
+                self.decisions.push(DecisionRecord {
+                    at,
+                    kind: v
+                        .get("decision")
+                        .and_then(|d| d.as_str())
+                        .unwrap_or("")
+                        .to_string(),
+                    wa_eff: v.get("wa_eff").and_then(|e| e.as_f64()),
+                    remove: u64_set(v, "remove"),
+                    suspects: u64_set(v, "suspects"),
+                    blacklist_nodes,
+                    blacklist_clusters,
+                    hold_fire: v.get("hold_fire").is_some(),
+                });
+            }
+            "member" => {
+                let state = match v.get("state").and_then(|s| s.as_str()) {
+                    Some("joined") => MemberState::Joined,
+                    Some("suspect") => MemberState::Suspect,
+                    Some(_) => MemberState::Other,
+                    None => return,
+                };
+                if let Some(node) = u64_field(v, "node") {
+                    self.members.push((at, node, state));
+                }
+            }
+            "join" => {
+                let node = u64_field(v, "node").zip(u64_field(v, "cluster"));
+                self.joins.push((at, node));
+            }
+            "leave" => self.leaves.push((at, u64_field(v, "node"))),
+            "crash" => self.crashes.push((at, u64_set(v, "victims").len() as u64)),
+            "injection" => self.injections.push((at, InjectionKind::of(v))),
+            "hub_failover" => {
+                self.failovers
+                    .push((at, u64_field(v, "epoch"), u64_set(v, "blacklisted_nodes")))
+            }
+            _ => {}
+        }
+    }
+
     fn counter(&self, name: &str) -> u64 {
         self.counters
             .iter()
@@ -179,8 +303,12 @@ impl Stream {
             .map_or(0, |&(_, v)| v)
     }
 
-    fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a (u64, String, JsonValue)> {
-        self.events.iter().filter(move |(_, k, _)| k == kind)
+    /// Times of the injections of one sub-kind.
+    fn injected(&self, kind: InjectionKind) -> impl Iterator<Item = u64> + '_ {
+        self.injections
+            .iter()
+            .filter(move |&&(_, k)| k == kind)
+            .map(|&(at, _)| at)
     }
 }
 
@@ -216,18 +344,14 @@ pub fn check_jsonl(jsonl: &str, cfg: &InvariantConfig) -> Vec<Violation> {
 /// epoch. Streams without hub crashes or takeovers pass trivially, so the
 /// check always runs (DES streams simply have nothing to judge).
 fn check_hub_failover(stream: &Stream, out: &mut Vec<Violation>) {
-    let hub_crashes = stream
-        .of_kind("injection")
-        .filter(|(_, _, v)| injection_sub_kind(v) == "crash_hub")
-        .count();
-    let takeovers: Vec<&(u64, String, JsonValue)> = stream.of_kind("hub_failover").collect();
-    if takeovers.len() != hub_crashes {
+    let hub_crashes = stream.injected(InjectionKind::CrashHub).count();
+    if stream.failovers.len() != hub_crashes {
         out.push(Violation {
             invariant: "hub-failover",
             detail: format!(
                 "{} hub_failover takeover(s) recorded for {} crash_hub injection(s) \
                  — expected exactly one takeover per injected hub crash",
-                takeovers.len(),
+                stream.failovers.len(),
                 hub_crashes
             ),
         });
@@ -236,26 +360,29 @@ fn check_hub_failover(stream: &Stream, out: &mut Vec<Violation>) {
     // names the blacklisted ids the new primary inherited; none of them
     // may appear in a later membership join on the same stream (the
     // promoted hub's own time axis, so ordering is well-defined).
-    for (at, _, v) in &takeovers {
-        let inherited = u64_set(v, "blacklisted_nodes");
-        for (jat, _, jv) in stream.of_kind("member") {
-            let joined = jv.get("state").and_then(|s| s.as_str()) == Some("joined");
-            let Some(node) = u64_field(jv, "node") else {
-                continue;
-            };
-            if joined && jat >= at && inherited.contains(&node) {
+    for (at, epoch, inherited) in &stream.failovers {
+        for &(jat, node, state) in &stream.members {
+            if state == MemberState::Joined && jat >= *at && contains(inherited, node) {
                 out.push(Violation {
                     invariant: "hub-failover",
                     detail: format!(
                         "node {node} was blacklisted at the epoch-{} takeover yet joined \
                          the promoted hub at t={:.1}s",
-                        u64_field(v, "epoch").unwrap_or(0),
-                        *jat as f64 / 1e6
+                        epoch.unwrap_or(0),
+                        jat as f64 / 1e6
                     ),
                 });
             }
         }
     }
+}
+
+/// Decision kinds that take members out of the pool.
+fn is_removal(kind: &str) -> bool {
+    matches!(
+        kind,
+        "remove-nodes" | "remove-cluster" | "opportunistic-swap"
+    )
 }
 
 /// **No suspect shrink** — judged from the stream alone, three ways.
@@ -273,36 +400,33 @@ fn check_hub_failover(stream: &Stream, out: &mut Vec<Violation>) {
 /// Streams that predate suspicion (no `suspects` field, no `member`
 /// suspect records) pass trivially.
 fn check_no_suspect_shrink(stream: &Stream, out: &mut Vec<Violation>) {
-    let removal_kind = |kind: &str| {
-        matches!(
-            kind,
-            "remove-nodes" | "remove-cluster" | "opportunistic-swap"
-        )
-    };
-    for (at, _, v) in stream.of_kind("decision") {
-        let kind = v.get("decision").and_then(|d| d.as_str()).unwrap_or("");
-        if removal_kind(kind) {
-            let suspects = u64_set(v, "suspects");
-            let removed = u64_set(v, "remove");
-            let hit: Vec<u64> = removed.intersection(&suspects).copied().collect();
+    for d in &stream.decisions {
+        let kind = d.kind.as_str();
+        if is_removal(kind) {
+            let hit: Vec<u64> = d
+                .remove
+                .iter()
+                .copied()
+                .filter(|&n| contains(&d.suspects, n))
+                .collect();
             if !hit.is_empty() {
                 out.push(Violation {
                     invariant: "no-suspect-shrink",
                     detail: format!(
                         "{kind} decision at t={:.1}s removes node(s) {hit:?} that its own \
                          suspicion snapshot records as unresolved",
-                        *at as f64 / 1e6
+                        d.at as f64 / 1e6
                     ),
                 });
             }
         }
-        if v.get("hold_fire").is_some() && kind != "none" {
+        if d.hold_fire && kind != "none" {
             out.push(Violation {
                 invariant: "no-suspect-shrink",
                 detail: format!(
                     "decision at t={:.1}s records a hold-fire reason yet decided {kind:?} \
                      — a withheld decision must decide nothing",
-                    *at as f64 / 1e6
+                    d.at as f64 / 1e6
                 ),
             });
         }
@@ -311,20 +435,11 @@ fn check_no_suspect_shrink(stream: &Stream, out: &mut Vec<Violation>) {
     // later state for the same node (alive / died / left) closes.
     let mut open: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
     let mut intervals: Vec<(u64, u64, u64)> = Vec::new();
-    for (at, _, v) in stream.of_kind("member") {
-        let Some(node) = u64_field(v, "node") else {
-            continue;
-        };
-        match v.get("state").and_then(|s| s.as_str()) {
-            Some("suspect") => {
-                open.entry(node).or_insert(*at);
-            }
-            Some(_) => {
-                if let Some(start) = open.remove(&node) {
-                    intervals.push((node, start, *at));
-                }
-            }
-            None => {}
+    for &(at, node, state) in &stream.members {
+        if state == MemberState::Suspect {
+            open.entry(node).or_insert(at);
+        } else if let Some(start) = open.remove(&node) {
+            intervals.push((node, start, at));
         }
     }
     intervals.extend(
@@ -334,20 +449,16 @@ fn check_no_suspect_shrink(stream: &Stream, out: &mut Vec<Violation>) {
     if intervals.is_empty() {
         return;
     }
-    for (at, _, v) in stream.of_kind("decision") {
-        let kind = v.get("decision").and_then(|d| d.as_str()).unwrap_or("");
-        if !removal_kind(kind) {
-            continue;
-        }
-        let removed = u64_set(v, "remove");
+    for d in stream.decisions.iter().filter(|d| is_removal(&d.kind)) {
         for &(node, start, end) in &intervals {
-            if removed.contains(&node) && *at >= start && *at < end {
+            if contains(&d.remove, node) && d.at >= start && d.at < end {
                 out.push(Violation {
                     invariant: "no-suspect-shrink",
                     detail: format!(
-                        "{kind} decision at t={:.1}s removes node {node} inside its suspect \
+                        "{} decision at t={:.1}s removes node {node} inside its suspect \
                          window [{:.1}s, {})",
-                        *at as f64 / 1e6,
+                        d.kind,
+                        d.at as f64 / 1e6,
                         start as f64 / 1e6,
                         if end == u64::MAX {
                             "unresolved".to_string()
@@ -362,17 +473,18 @@ fn check_no_suspect_shrink(stream: &Stream, out: &mut Vec<Violation>) {
 }
 
 fn check_efficiency_recovery(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violation>) {
-    let Some(t_last) = stream.of_kind("injection").map(|&(at, ..)| at).max() else {
+    let Some(t_last) = stream.injections.iter().map(|&(at, _)| at).max() else {
         return; // undisturbed run: nothing to recover from
     };
-    let t_end = stream.events.iter().map(|&(at, ..)| at).max().unwrap_or(0);
+    let t_end = stream.t_end;
     if t_end < t_last.saturating_add(cfg.settle_us) {
         return; // run ended before a recovery could be observed
     }
     let best = stream
-        .of_kind("decision")
-        .filter(|&&(at, ..)| at > t_last)
-        .filter_map(|(_, _, v)| v.get("wa_eff").and_then(|e| e.as_f64()))
+        .decisions
+        .iter()
+        .filter(|d| d.at > t_last)
+        .filter_map(|d| d.wa_eff)
         .fold(f64::NEG_INFINITY, f64::max);
     if best < cfg.recovery_eff {
         out.push(Violation {
@@ -390,19 +502,15 @@ fn check_efficiency_recovery(stream: &Stream, cfg: &InvariantConfig, out: &mut V
 
 fn check_blacklist_permanence(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violation>) {
     // Blacklists only grow across the decision sequence.
-    let mut nodes: BTreeSet<u64> = BTreeSet::new();
-    let mut clusters: BTreeSet<u64> = BTreeSet::new();
-    // `(at_us, nodes, clusters)` snapshots for the join check below.
-    let mut timeline: Vec<(u64, BTreeSet<u64>, BTreeSet<u64>)> = Vec::new();
-    for (at, _, v) in stream.of_kind("decision") {
-        let n = u64_set(v, "blacklist_nodes");
-        let c = u64_set(v, "blacklist_clusters");
-        if !n.is_superset(&nodes) || !c.is_superset(&clusters) {
+    let (mut nodes, mut clusters): (&[u64], &[u64]) = (&[], &[]);
+    for d in &stream.decisions {
+        let (n, c) = (&d.blacklist_nodes, &d.blacklist_clusters);
+        if !is_superset(n, nodes) || !is_superset(c, clusters) {
             out.push(Violation {
                 invariant: "blacklist-permanence",
                 detail: format!(
                     "blacklist shrank at decision t={:.1}s (nodes {} -> {}, clusters {} -> {})",
-                    *at as f64 / 1e6,
+                    d.at as f64 / 1e6,
                     nodes.len(),
                     n.len(),
                     clusters.len(),
@@ -413,35 +521,29 @@ fn check_blacklist_permanence(stream: &Stream, cfg: &InvariantConfig, out: &mut 
         }
         nodes = n;
         clusters = c;
-        timeline.push((*at, nodes.clone(), clusters.clone()));
     }
     if !cfg.check_membership {
         return;
     }
     // No blacklisted node — and no node of a blacklisted cluster — ever
     // joins after the blacklisting decision.
-    for (at, _, v) in stream.of_kind("join") {
-        let (Some(node), Some(cluster)) = (u64_field(v, "node"), u64_field(v, "cluster")) else {
+    for &(at, join) in &stream.joins {
+        let Some((node, cluster)) = join else {
             continue;
         };
-        let Some((_, bl_nodes, bl_clusters)) = timeline.iter().rev().find(|&&(t, ..)| t < *at)
-        else {
+        let Some(d) = stream.decisions.iter().rev().find(|d| d.at < at) else {
             continue;
         };
-        if bl_nodes.contains(&node) || bl_clusters.contains(&cluster) {
+        if contains(&d.blacklist_nodes, node) || contains(&d.blacklist_clusters, cluster) {
             out.push(Violation {
                 invariant: "blacklist-permanence",
                 detail: format!(
                     "node {node} (cluster {cluster}) joined at t={:.1}s while blacklisted",
-                    *at as f64 / 1e6
+                    at as f64 / 1e6
                 ),
             });
         }
     }
-}
-
-fn injection_sub_kind(v: &JsonValue) -> &str {
-    v.get("injection").and_then(|k| k.as_str()).unwrap_or("")
 }
 
 fn check_provenance(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violation>) {
@@ -461,23 +563,14 @@ fn check_provenance(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violat
     // Times at which an add-like source fired: a join at source+delay is
     // justified.
     let add_times: BTreeSet<u64> = stream
-        .of_kind("decision")
-        .filter(|(_, _, v)| {
-            matches!(
-                v.get("decision").and_then(|d| d.as_str()),
-                Some("add") | Some("opportunistic-swap")
-            )
-        })
-        .map(|&(at, ..)| at)
-        .chain(
-            stream
-                .of_kind("injection")
-                .filter(|(_, _, v)| injection_sub_kind(v) == "grow")
-                .map(|&(at, ..)| at),
-        )
+        .decisions
+        .iter()
+        .filter(|d| matches!(d.kind.as_str(), "add" | "opportunistic-swap"))
+        .map(|d| d.at)
+        .chain(stream.injected(InjectionKind::Grow))
         .collect();
-    for (at, _, _) in stream.of_kind("join") {
-        if *at == 0 {
+    for &(at, _) in &stream.joins {
+        if at == 0 {
             continue; // initial t = 0 activation wave
         }
         let source = at.checked_sub(cfg.join_delay_us);
@@ -486,7 +579,7 @@ fn check_provenance(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violat
                 invariant: "decision-provenance",
                 detail: format!(
                     "join at t={:.1}s has no add decision or grow injection at t={:.1}s",
-                    *at as f64 / 1e6,
+                    at as f64 / 1e6,
                     at.saturating_sub(cfg.join_delay_us) as f64 / 1e6
                 ),
             });
@@ -496,46 +589,33 @@ fn check_provenance(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violat
     // pace after the signal, so the match is "a source fired earlier",
     // not an exact time).
     let removal_times: Vec<u64> = stream
-        .of_kind("decision")
-        .filter(|(_, _, v)| {
-            matches!(
-                v.get("decision").and_then(|d| d.as_str()),
-                Some("remove-nodes") | Some("remove-cluster") | Some("opportunistic-swap")
-            )
-        })
-        .map(|&(at, ..)| at)
-        .chain(
-            stream
-                .of_kind("injection")
-                .filter(|(_, _, v)| injection_sub_kind(v) == "shrink")
-                .map(|&(at, ..)| at),
-        )
+        .decisions
+        .iter()
+        .filter(|d| is_removal(&d.kind))
+        .map(|d| d.at)
+        .chain(stream.injected(InjectionKind::Shrink))
         .collect();
-    for (at, _, v) in stream.of_kind("leave") {
-        if !removal_times.iter().any(|&t| t <= *at) {
+    for &(at, node) in &stream.leaves {
+        if !removal_times.iter().any(|&t| t <= at) {
             out.push(Violation {
                 invariant: "decision-provenance",
                 detail: format!(
                     "node {} left at t={:.1}s with no prior removal decision or shrink injection",
-                    u64_field(v, "node").unwrap_or(u64::MAX),
-                    *at as f64 / 1e6
+                    node.unwrap_or(u64::MAX),
+                    at as f64 / 1e6
                 ),
             });
         }
     }
     // A crash burst coincides with a crash injection.
-    let crash_injection_times: BTreeSet<u64> = stream
-        .of_kind("injection")
-        .filter(|(_, _, v)| matches!(injection_sub_kind(v), "crash_cluster" | "crash_nodes"))
-        .map(|&(at, ..)| at)
-        .collect();
-    for (at, _, _) in stream.of_kind("crash") {
-        if !crash_injection_times.contains(at) {
+    let crash_injection_times: BTreeSet<u64> = stream.injected(InjectionKind::Crash).collect();
+    for &(at, _) in &stream.crashes {
+        if !crash_injection_times.contains(&at) {
             out.push(Violation {
                 invariant: "decision-provenance",
                 detail: format!(
                     "crash at t={:.1}s matches no crash injection",
-                    *at as f64 / 1e6
+                    at as f64 / 1e6
                 ),
             });
         }
@@ -543,7 +623,7 @@ fn check_provenance(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violat
 }
 
 fn check_conservation(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Violation>) {
-    let mut expect = |name: &'static str, counter: &str, got: u64| {
+    let mut expect = |counter: &str, got: u64| {
         let want = stream.counter(counter);
         if want != got {
             out.push(Violation {
@@ -551,27 +631,15 @@ fn check_conservation(stream: &Stream, cfg: &InvariantConfig, out: &mut Vec<Viol
                 detail: format!("counter {counter}={want} but the event stream records {got}"),
             });
         }
-        let _ = name;
     };
-    let joins = stream.of_kind("join").count() as u64;
-    let leaves = stream.of_kind("leave").count() as u64;
-    let crashes: u64 = stream
-        .of_kind("crash")
-        .map(|(_, _, v)| u64_set(v, "victims").len() as u64)
-        .sum();
-    expect("joins", "des.node_joins", joins);
-    expect("leaves", "des.node_leaves", leaves);
-    expect("crashes", "des.node_crashes", crashes);
-    expect(
-        "injections",
-        "des.injections",
-        stream.of_kind("injection").count() as u64,
-    );
-    expect(
-        "decisions",
-        "des.decisions",
-        stream.of_kind("decision").count() as u64,
-    );
+    let joins = stream.joins.len() as u64;
+    let leaves = stream.leaves.len() as u64;
+    let crashes: u64 = stream.crashes.iter().map(|&(_, victims)| victims).sum();
+    expect("des.node_joins", joins);
+    expect("des.node_leaves", leaves);
+    expect("des.node_crashes", crashes);
+    expect("des.injections", stream.injections.len() as u64);
+    expect("des.decisions", stream.decisions.len() as u64);
     // Membership flow balance: what joined and never left or crashed is
     // exactly what's still alive.
     let alive = stream
@@ -730,8 +798,8 @@ mod tests {
         assert_eq!(v[0].invariant, "well-formed-stream");
     }
 
-    /// The checker reconstructs each decision while parsing and then
-    /// drops its badness rows; a corrupt row must still surface as a
+    /// The checker reconstructs each decision while parsing and keeps
+    /// none of its badness rows; a corrupt row must still surface as a
     /// provenance violation naming that decision's time.
     #[test]
     fn corrupt_badness_row_is_caught_at_its_decision_time() {

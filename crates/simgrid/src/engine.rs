@@ -1966,7 +1966,6 @@ mod tests {
     #[test]
     fn run_result_holds_one_entry_per_decision_event() {
         use crate::provenance::reconstruct_decision;
-        use sagrid_core::json::parse_json;
         use sagrid_core::metrics::Metrics;
         for hierarchical in [false, true] {
             let mut cfg = base_config();
@@ -1987,11 +1986,34 @@ mod tests {
             let events: Vec<_> = report.events_of_kind("decision").collect();
             assert_eq!(events.len(), r.decisions.len());
             for (event, entry) in events.iter().zip(&r.decisions) {
-                let json = parse_json(&event.to_json()).expect("event re-parses");
-                assert!(reconstruct_decision(&json).unwrap().matches(entry));
+                assert!(reconstruct_decision(event).unwrap().matches(entry));
             }
             assert_eq!(GridSim::run(cfg).decisions, r.decisions);
         }
+    }
+
+    /// The metrics JSONL of one small adapting run with a crash, pinned by
+    /// length and FNV-1a: the event text, its order and every instrument
+    /// record are part of the output format.
+    #[test]
+    fn metered_run_jsonl_is_pinned() {
+        use sagrid_core::metrics::Metrics;
+        let mut cfg = base_config();
+        cfg.mode = AdaptMode::Adapt;
+        cfg.workload = quick_workload(20);
+        cfg.policy.monitoring_period = SimDuration::from_secs(10);
+        cfg.injections = InjectionSchedule::new(vec![sagrid_simnet::ScheduledInjection {
+            at: SimTime::from_secs(5),
+            injection: Injection::CrashCluster {
+                cluster: ClusterId(1),
+            },
+        }]);
+        let r = GridSim::try_run_with_metrics(cfg, Metrics::enabled()).expect("valid");
+        let jsonl = r.metrics.expect("metrics were enabled").to_jsonl();
+        let fnv = jsonl.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((jsonl.len(), fnv), (5336, 0xc16e_ee46_acff_019c));
     }
 
     #[test]

@@ -242,6 +242,14 @@ rss_12s="$(rss target/ci_bench_paper36_12s.json)"
 awk -v a="$rss_3s" -v b="$rss_12s" 'BEGIN { exit !(a != "" && b != "" && b - a <= 3) }' \
     || { echo "  paper36: peak_rss_mb grew $rss_3s -> $rss_12s MiB from 3 s to 12 s" >&2; exit 1; }
 echo "  paper36: peak_rss_mb $rss_3s MiB (3 s), $rss_12s MiB (12 s)"
+# Width must not cost memory out of proportion: the untimed check runs one
+# metered DES run, whose event log is held once as JSONL text and read
+# back as typed records. Holding it as event structs, a cloned copy and a
+# JSON tree per line put wide_steady 14.5-14.8 MiB above paper36; now 8.5-8.7.
+rss_wide="$(rss target/ci_bench_wide_steady.json)"
+awk -v a="$rss_3s" -v b="$rss_wide" 'BEGIN { exit !(a != "" && b != "" && b - a < 11) }' \
+    || { echo "  wide_steady: peak_rss_mb $rss_wide MiB is 11 MiB or more above paper36's $rss_3s" >&2; exit 1; }
+echo "  wide_steady: peak_rss_mb $rss_wide MiB (paper36 $rss_3s MiB, bound +11)"
 # The victim's steal server is one reactor thread however many thieves
 # dial it. A traced run counts 1 + the threads named steal-srv*, so
 # thread-per-connection cannot come back unnoticed.

@@ -19,7 +19,7 @@
 
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::stats::MonitoringReport;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 /// The α/β/γ weights of the badness formulas.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -42,21 +42,6 @@ impl Default for BadnessCoefficients {
     }
 }
 
-/// Per-cluster aggregate view derived from node reports.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ClusterView {
-    /// The cluster.
-    pub cluster: ClusterId,
-    /// Member nodes that reported this period.
-    pub nodes: Vec<NodeId>,
-    /// Cluster speed: sum of member speeds, normalized to the fastest
-    /// cluster (paper: "the speed of a cluster is the sum of processor
-    /// speeds normalized to the speed of the fastest cluster").
-    pub speed: f64,
-    /// Average member inter-cluster overhead fraction.
-    pub ic_overhead: f64,
-}
-
 /// Badness of one processor.
 ///
 /// `speed` is clamped away from zero so a wedged node (speed → 0) gets a
@@ -77,49 +62,91 @@ pub fn cluster_badness(coeff: &BadnessCoefficients, speed: f64, ic_overhead: f64
     coeff.alpha / s + coeff.beta * ic_overhead
 }
 
-/// Aggregates per-node reports into per-cluster views (speed normalized to
-/// the fastest cluster), sorted by cluster id for determinism.
-pub fn cluster_views<'a>(
-    reports: impl IntoIterator<Item = &'a MonitoringReport>,
-) -> Vec<ClusterView> {
-    let mut by_cluster: BTreeMap<ClusterId, (Vec<NodeId>, f64, f64)> = BTreeMap::new();
-    for r in reports {
-        let e = by_cluster
-            .entry(r.cluster)
-            .or_insert_with(|| (Vec::new(), 0.0, 0.0));
-        e.0.push(r.node);
-        e.1 += r.speed;
-        e.2 += r.ic_overhead_fraction();
-    }
-    let max_speed = by_cluster
-        .values()
-        .map(|(_, s, _)| *s)
-        .fold(0.0_f64, f64::max)
-        .max(1e-12);
-    by_cluster
-        .into_iter()
-        .map(|(cluster, (nodes, speed_sum, ic_sum))| {
-            let n = nodes.len().max(1) as f64;
-            ClusterView {
-                cluster,
-                nodes,
-                speed: speed_sum / max_speed,
-                ic_overhead: ic_sum / n,
-            }
-        })
-        .collect()
+/// One cluster's share of a period's reports: the member count, and the
+/// cluster speed (normalized to the fastest cluster — paper: "the speed of
+/// a cluster is the sum of processor speeds normalized to the speed of the
+/// fastest cluster") and mean inter-cluster overhead of its members.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ClusterSum {
+    pub cluster: ClusterId,
+    pub members: usize,
+    pub speed: f64,
+    pub ic_overhead: f64,
 }
 
-/// Identifies the worst cluster among the views (highest badness; ties break
-/// toward the lower cluster id for determinism). Returns `None` when fewer
-/// than two clusters are involved — with a single cluster there is no
-/// "worst cluster" to prefer draining, and no wide-area communication at
-/// all.
-pub fn worst_cluster(coeff: &BadnessCoefficients, views: &[ClusterView]) -> Option<ClusterId> {
-    if views.len() < 2 {
+/// Per-cluster sums over one period's reports, reused from period to
+/// period: [`Self::clear`], then [`Self::add`] per report (sums each
+/// member's speed and ic overhead in the order the reports come), then
+/// [`Self::finish`] (sorts the clusters by id and turns the sums into
+/// [`ClusterSum`]s).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ClusterSums {
+    sums: Vec<ClusterSum>,
+    /// Index in `sums` of each cluster id added since the last
+    /// [`Self::clear`]; `u32::MAX` for every other id.
+    slot: Vec<u32>,
+}
+
+impl ClusterSums {
+    /// Adds one report's terms to its cluster's sums.
+    pub fn add(&mut self, cluster: ClusterId, speed: f64, ic: f64) {
+        let id = cluster.index();
+        if id >= self.slot.len() {
+            self.slot.resize(id + 1, u32::MAX);
+        }
+        if self.slot[id] == u32::MAX {
+            self.slot[id] = self.sums.len() as u32;
+            self.sums.push(ClusterSum {
+                cluster,
+                members: 0,
+                speed: 0.0,
+                ic_overhead: 0.0,
+            });
+        }
+        let c = &mut self.sums[self.slot[id] as usize];
+        c.members += 1;
+        c.speed += speed;
+        c.ic_overhead += ic;
+    }
+
+    /// The clusters added since [`Self::clear`], sorted by id, with speed
+    /// normalized to the fastest cluster and ic overhead averaged.
+    pub fn finish(&mut self) -> &[ClusterSum] {
+        self.sums.sort_unstable_by_key(|c| c.cluster);
+        let max_speed = self
+            .sums
+            .iter()
+            .map(|c| c.speed)
+            .fold(0.0_f64, f64::max)
+            .max(1e-12);
+        for c in &mut self.sums {
+            c.speed /= max_speed;
+            c.ic_overhead /= c.members.max(1) as f64;
+        }
+        &self.sums
+    }
+
+    /// Starts a new period.
+    pub fn clear(&mut self) {
+        for c in self.sums.drain(..) {
+            self.slot[c.cluster.index()] = u32::MAX;
+        }
+    }
+}
+
+/// Identifies the worst cluster among the normalized clusters (highest
+/// badness; ties break toward the lower cluster id for determinism).
+/// Returns `None` when fewer than two clusters are involved — with a
+/// single cluster there is no "worst cluster" to prefer draining, and no
+/// wide-area communication at all.
+pub(crate) fn worst_cluster(
+    coeff: &BadnessCoefficients,
+    clusters: &[ClusterSum],
+) -> Option<ClusterId> {
+    if clusters.len() < 2 {
         return None;
     }
-    views
+    clusters
         .iter()
         .max_by(|a, b| {
             let ba = cluster_badness(coeff, a.speed, a.ic_overhead);
@@ -130,12 +157,21 @@ pub fn worst_cluster(coeff: &BadnessCoefficients, views: &[ClusterView]) -> Opti
                 // maximal element, so order ids descending.
                 .then(b.cluster.cmp(&a.cluster))
         })
-        .map(|v| v.cluster)
+        .map(|c| c.cluster)
 }
 
-/// Ranks nodes by descending badness (worst first). Ties break toward the
-/// higher node id so that, all else equal, the most recently added node is
-/// removed first (it has the least warmed-up state).
+/// The removal order of `(node, badness)` pairs: descending badness, ties
+/// toward the higher node id so that, all else equal, the most recently
+/// added node is removed first (it has the least warmed-up state). Node
+/// ids make the order total, so an unstable sort gives the same result as
+/// a stable one.
+pub fn worst_first(a: &(NodeId, f64), b: &(NodeId, f64)) -> Ordering {
+    b.1.partial_cmp(&a.1)
+        .expect("badness is finite")
+        .then(b.0.cmp(&a.0))
+}
+
+/// Ranks nodes by descending badness (worst first, see [`worst_first`]).
 pub fn rank_nodes_by_badness(
     coeff: &BadnessCoefficients,
     reports: &[MonitoringReport],
@@ -153,11 +189,7 @@ pub fn rank_nodes_by_badness(
             (r.node, b)
         })
         .collect();
-    ranked.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("badness is finite")
-            .then(b.0.cmp(&a.0))
-    });
+    ranked.sort_unstable_by(worst_first);
     ranked
 }
 
@@ -216,22 +248,45 @@ mod tests {
         assert!(b > node_badness(&c, 0.001, 0.0, false));
     }
 
+    fn clusters(reports: &[MonitoringReport]) -> Vec<ClusterSum> {
+        let mut sums = ClusterSums::default();
+        for r in reports {
+            sums.add(r.cluster, r.speed, r.ic_overhead_fraction());
+        }
+        sums.finish().to_vec()
+    }
+
     #[test]
-    fn cluster_views_normalize_to_fastest_cluster() {
+    fn clusters_normalize_to_fastest_cluster() {
         let reports = vec![
+            report(2, 1, 0.5, 0.3),
             report(0, 0, 1.0, 0.0),
             report(1, 0, 1.0, 0.1),
-            report(2, 1, 0.5, 0.3),
         ];
-        let views = cluster_views(&reports);
+        let views = clusters(&reports);
         assert_eq!(views.len(), 2);
         let c0 = &views[0];
         let c1 = &views[1];
-        assert_eq!(c0.cluster, ClusterId(0));
+        assert_eq!(c0.cluster, ClusterId(0), "sorted by cluster id");
+        assert_eq!((c0.members, c1.members), (2, 1));
         assert!((c0.speed - 1.0).abs() < 1e-9, "fastest cluster speed = 1");
         assert!((c1.speed - 0.25).abs() < 1e-9, "0.5 / 2.0");
         assert!((c0.ic_overhead - 0.05).abs() < 1e-9);
         assert!((c1.ic_overhead - 0.3).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_reused_table_starts_each_period_empty() {
+        let first = vec![report(0, 5, 1.0, 0.2), report(1, 2, 0.5, 0.0)];
+        let second = vec![report(2, 2, 0.25, 0.1), report(3, 0, 1.0, 0.0)];
+        let mut sums = ClusterSums::default();
+        for period in [&first, &second, &first] {
+            sums.clear();
+            for r in period.iter() {
+                sums.add(r.cluster, r.speed, r.ic_overhead_fraction());
+            }
+            assert_eq!(sums.finish(), clusters(period).as_slice());
+        }
     }
 
     #[test]
@@ -242,14 +297,14 @@ mod tests {
             report(1, 1, 1.0, 0.35), // behind a shaped uplink
             report(2, 2, 1.0, 0.03),
         ];
-        let views = cluster_views(&reports);
+        let views = clusters(&reports);
         assert_eq!(worst_cluster(&c, &views), Some(ClusterId(1)));
     }
 
     #[test]
     fn single_cluster_has_no_worst() {
         let c = BadnessCoefficients::default();
-        let views = cluster_views(&[report(0, 0, 1.0, 0.0)]);
+        let views = clusters(&[report(0, 0, 1.0, 0.0)]);
         assert_eq!(worst_cluster(&c, &views), None);
     }
 
@@ -262,7 +317,7 @@ mod tests {
             report(2, 2, 0.3, 0.0),  // slow
             report(3, 1, 1.0, 0.45), // worse link
         ];
-        let views = cluster_views(&reports);
+        let views = clusters(&reports);
         let worst = worst_cluster(&c, &views);
         assert_eq!(worst, Some(ClusterId(1)));
         let ranked = rank_nodes_by_badness(&c, &reports, worst);

@@ -18,7 +18,7 @@
 //! tightens the lower bound on the bandwidth the application needs, which is
 //! passed to the scheduler on subsequent requests.
 
-use crate::badness::{cluster_views, node_badness, worst_cluster};
+use crate::badness::{node_badness, worst_cluster, worst_first, ClusterSum, ClusterSums};
 use crate::efficiency::wa_efficiency_of_reports;
 use crate::policy::AdaptPolicy;
 use sagrid_core::ids::{ClusterId, NodeId};
@@ -199,6 +199,9 @@ pub struct Coordinator {
     /// (the hold-fire rule) — removal would otherwise target survivors
     /// on the basis of a disturbance that is still being resolved.
     suspects: BTreeSet<NodeId>,
+    /// Per-cluster sums of the latest evaluation, kept for the next one's
+    /// reuse.
+    clusters: ClusterSums,
 }
 
 impl Coordinator {
@@ -216,6 +219,7 @@ impl Coordinator {
             learned: LearnedRequirements::default(),
             last: None,
             suspects: BTreeSet::new(),
+            clusters: ClusterSums::default(),
         }
     }
 
@@ -336,98 +340,105 @@ impl Coordinator {
         // member's stale report would otherwise drag wa_efficiency down
         // and make the flowchart shrink away survivors during the
         // crash-detection window.
-        let reports: Vec<MonitoringReport> = self
-            .latest
-            .values()
-            .filter(|r| !self.suspects.contains(&r.node))
-            .copied()
-            .collect();
-        if reports.is_empty() {
+        //
+        // One walk over the alive reports, in node order, feeds the
+        // efficiency sum, the per-cluster sums and the badness inputs.
+        // The badness records reuse the previous entry's buffer.
+        let mut provenance = self.last.take().map(|e| e.badness).unwrap_or_default();
+        provenance.clear();
+        self.clusters.clear();
+        let (suspects, clusters) = (&self.suspects, &mut self.clusters);
+        let wa_eff = wa_efficiency_of_reports(
+            self.latest
+                .values()
+                .filter(|r| !suspects.contains(&r.node))
+                .inspect(|r| {
+                    let ic = r.ic_overhead_fraction();
+                    clusters.add(r.cluster, r.speed, ic);
+                    provenance.push(NodeBadnessRecord {
+                        node: r.node,
+                        cluster: r.cluster,
+                        speed: r.speed,
+                        ic_overhead: ic,
+                        in_worst_cluster: false,
+                        badness: 0.0,
+                    });
+                }),
+        );
+        let n = provenance.len();
+        if n == 0 {
             let hold_fire = (!self.suspects.is_empty()).then(|| {
                 format!(
                     "no alive-confirmed reports: all {} known members are suspect",
                     self.suspects.len()
                 )
             });
-            return self.log_and_return(now, 0.0, 0, Vec::new(), Decision::None, hold_fire);
+            return self.log_and_return(now, 0.0, 0, provenance, Decision::None, hold_fire);
         }
-        let wa_eff = wa_efficiency_of_reports(&reports);
-        let n = reports.len();
+        let clusters = self.clusters.finish();
+        // Provenance: the badness terms of every reporting node at this
+        // instant, ranked worst-first — the exact inputs a removal decision
+        // considers, captured whether or not one is taken.
+        let coeff = &self.policy.coefficients;
+        let worst = worst_cluster(coeff, clusters);
+        for b in &mut provenance {
+            b.in_worst_cluster = Some(b.cluster) == worst;
+            b.badness = node_badness(coeff, b.speed, b.ic_overhead, b.in_worst_cluster);
+        }
+        provenance.sort_unstable_by(|a, b| worst_first(&(a.node, a.badness), &(b.node, b.badness)));
 
         // Step 1: exceptional inter-cluster overhead ⇒ the uplink bandwidth
         // to that cluster is insufficient; remove the whole cluster rather
         // than computing node badness (paper §3.3). Only meaningful when
         // the application spans more than one cluster.
-        let views = cluster_views(&reports);
-        // Provenance: the badness terms of every reporting node at this
-        // instant, ranked worst-first — the exact inputs a removal decision
-        // considers, captured whether or not one is taken.
-        let worst = worst_cluster(&self.policy.coefficients, &views);
-        let provenance = badness_provenance(&self.policy.coefficients, &reports, worst);
-        if views.len() >= 2 {
-            let second_worst_ic = {
-                let mut ics: Vec<f64> = views.iter().map(|v| v.ic_overhead).collect();
-                ics.sort_by(|a, b| b.partial_cmp(a).expect("finite"));
-                ics.get(1).copied().unwrap_or(0.0)
-            };
-            if let Some(bad) = views
-                .iter()
-                .filter(|v| {
-                    v.ic_overhead > self.policy.exceptional_ic_overhead
-                        && v.ic_overhead >= second_worst_ic * self.policy.exceptional_ic_dominance
-                })
-                .max_by(|a, b| {
-                    a.ic_overhead
-                        .partial_cmp(&b.ic_overhead)
-                        .expect("overheads are finite")
-                        .then(b.cluster.cmp(&a.cluster))
-                })
-            {
-                let cluster = bad.cluster;
-                let nodes = bad.nodes.clone();
-                // Hold-fire: removal decisions wait out unresolved
-                // silence. Checked before any side effect so a withheld
-                // decision leaves no blacklist or report-set trace.
-                if let Some(reason) = self.hold_fire_reason("remove-cluster") {
-                    return self.log_and_return(
-                        now,
-                        wa_eff,
-                        n,
-                        provenance,
-                        Decision::None,
-                        Some(reason),
-                    );
-                }
-                if self.policy.blacklist_removed {
-                    self.blacklisted_clusters.insert(cluster);
-                }
-                // Learn the bandwidth requirement: the application needs
-                // strictly more than this cluster's uplink provided.
-                if let Some(&bw) = self.uplink_observations.get(&cluster) {
-                    let bound = self.learned.min_uplink_bps.unwrap_or(0.0).max(bw);
-                    self.learned.min_uplink_bps = Some(bound);
-                }
-                for node in &nodes {
-                    self.latest.remove(node);
-                }
+        if let Some(cluster) = exceptional_cluster(&self.policy, clusters) {
+            // Hold-fire: removal decisions wait out unresolved silence.
+            // Checked before any side effect so a withheld decision leaves
+            // no blacklist or report-set trace.
+            if let Some(reason) = self.hold_fire_reason("remove-cluster") {
                 return self.log_and_return(
                     now,
                     wa_eff,
                     n,
                     provenance,
-                    Decision::RemoveCluster { cluster, nodes },
-                    None,
+                    Decision::None,
+                    Some(reason),
                 );
             }
+            // Its reporting members, in node order.
+            let mut nodes: Vec<NodeId> = provenance
+                .iter()
+                .filter(|b| b.cluster == cluster)
+                .map(|b| b.node)
+                .collect();
+            nodes.sort_unstable();
+            if self.policy.blacklist_removed {
+                self.blacklisted_clusters.insert(cluster);
+            }
+            // Learn the bandwidth requirement: the application needs
+            // strictly more than this cluster's uplink provided.
+            if let Some(&bw) = self.uplink_observations.get(&cluster) {
+                let bound = self.learned.min_uplink_bps.unwrap_or(0.0).max(bw);
+                self.learned.min_uplink_bps = Some(bound);
+            }
+            for node in &nodes {
+                self.latest.remove(node);
+            }
+            return self.log_and_return(
+                now,
+                wa_eff,
+                n,
+                provenance,
+                Decision::RemoveCluster { cluster, nodes },
+                None,
+            );
         }
 
         // Step 2: efficiency above E_MAX ⇒ the application can use more
         // processors; ask the scheduler, preferring sites we already occupy.
         if wa_eff > self.policy.e_max {
             let count = self.policy.grow_size(wa_eff, n);
-            let mut prefer: Vec<ClusterId> = reports.iter().map(|r| r.cluster).collect();
-            prefer.sort_unstable();
-            prefer.dedup();
+            let prefer: Vec<ClusterId> = clusters.iter().map(|c| c.cluster).collect();
             let decision = Decision::Add {
                 count,
                 requirements: self.learned,
@@ -488,7 +499,7 @@ impl Coordinator {
         if self.policy.opportunistic_migration {
             if let Some(avail) = fastest_available_speed {
                 let margin = self.policy.opportunistic_speed_margin;
-                let mut slow: Vec<(NodeId, f64)> = reports
+                let mut slow: Vec<(NodeId, f64)> = provenance
                     .iter()
                     .filter(|r| r.speed * margin < avail)
                     .map(|r| (r.node, r.speed))
@@ -595,36 +606,37 @@ impl Coordinator {
     }
 }
 
-/// Computes the full badness provenance for one evaluation: every node's
-/// formula inputs and result, ranked worst-first with the same tie-break
-/// as [`crate::badness::rank_nodes_by_badness`] (higher node id first).
-fn badness_provenance(
-    coeff: &crate::badness::BadnessCoefficients,
-    reports: &[MonitoringReport],
-    worst: Option<ClusterId>,
-) -> Vec<NodeBadnessRecord> {
-    let mut records: Vec<NodeBadnessRecord> = reports
+/// The cluster whose ic overhead is exceptional: above
+/// `exceptional_ic_overhead` and at least `exceptional_ic_dominance` times
+/// the second-highest cluster's (the highest such, ties toward the lower
+/// id). `None` with fewer than two clusters.
+fn exceptional_cluster(policy: &AdaptPolicy, clusters: &[ClusterSum]) -> Option<ClusterId> {
+    if clusters.len() < 2 {
+        return None;
+    }
+    // The second-highest ic overhead (duplicates count).
+    let (_, second_worst_ic) = clusters
         .iter()
-        .map(|r| {
-            let ic = r.ic_overhead_fraction();
-            let in_worst = Some(r.cluster) == worst;
-            NodeBadnessRecord {
-                node: r.node,
-                cluster: r.cluster,
-                speed: r.speed,
-                ic_overhead: ic,
-                in_worst_cluster: in_worst,
-                badness: node_badness(coeff, r.speed, ic, in_worst),
+        .fold((0.0_f64, 0.0_f64), |(first, second), c| {
+            if c.ic_overhead > first {
+                (c.ic_overhead, first)
+            } else {
+                (first, second.max(c.ic_overhead))
             }
+        });
+    clusters
+        .iter()
+        .filter(|c| {
+            c.ic_overhead > policy.exceptional_ic_overhead
+                && c.ic_overhead >= second_worst_ic * policy.exceptional_ic_dominance
         })
-        .collect();
-    records.sort_by(|a, b| {
-        b.badness
-            .partial_cmp(&a.badness)
-            .expect("badness is finite")
-            .then(b.node.cmp(&a.node))
-    });
-    records
+        .max_by(|a, b| {
+            a.ic_overhead
+                .partial_cmp(&b.ic_overhead)
+                .expect("overheads are finite")
+                .then(b.cluster.cmp(&a.cluster))
+        })
+        .map(|c| c.cluster)
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub mod hierarchy;
 pub mod monitor;
 pub mod policy;
 
-pub use badness::{cluster_badness, node_badness, BadnessCoefficients, ClusterView};
+pub use badness::{cluster_badness, node_badness, BadnessCoefficients};
 pub use bandwidth::BandwidthEstimator;
 pub use coordinator::{Coordinator, Decision, DecisionLogEntry, NodeBadnessRecord};
 pub use efficiency::{efficiency, wa_efficiency, wa_efficiency_of_reports};

@@ -14,6 +14,7 @@
 
 use sagrid_core::ids::NodeId;
 use sagrid_core::time::{SimDuration, SimTime};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Decides *when* a node should re-run its speed benchmark so that the
@@ -98,9 +99,28 @@ impl BenchmarkScheduler {
 /// to relative speeds: `speed_i = min_j(duration_j) / duration_i`, so the
 /// fastest node has speed 1.0 and "slower processors are modeled as fast
 /// ones that spend a large fraction of the time being idle".
-#[derive(Clone, Debug, Default)]
+///
+/// The minimum is kept up to date as durations arrive and leave, so
+/// [`Self::relative_speed`] is one map lookup. Only when every node holding
+/// the minimum gets slower or leaves does [`Self::record`] /
+/// [`Self::remove`] rescan the map.
+#[derive(Clone, Debug)]
 pub struct SpeedTracker {
     durations: BTreeMap<NodeId, SimDuration>,
+    /// Smallest duration in `durations` (`u64::MAX` while empty).
+    min: SimDuration,
+    /// How many nodes hold `min` (0 while empty).
+    at_min: usize,
+}
+
+impl Default for SpeedTracker {
+    fn default() -> Self {
+        Self {
+            durations: BTreeMap::new(),
+            min: SimDuration(u64::MAX),
+            at_min: 0,
+        }
+    }
 }
 
 impl SpeedTracker {
@@ -117,31 +137,46 @@ impl SpeedTracker {
             duration > SimDuration::ZERO,
             "benchmark duration must be > 0"
         );
-        self.durations.insert(n, duration);
+        if self.durations.insert(n, duration) == Some(self.min) {
+            self.at_min -= 1;
+        }
+        match duration.cmp(&self.min) {
+            Ordering::Less => {
+                self.min = duration;
+                self.at_min = 1;
+            }
+            Ordering::Equal => self.at_min += 1,
+            // The last holder of the minimum got slower.
+            Ordering::Greater if self.at_min == 0 => self.rescan(),
+            Ordering::Greater => {}
+        }
     }
 
     /// Forgets a node that left or died.
     pub fn remove(&mut self, n: NodeId) {
-        self.durations.remove(&n);
+        if self.durations.remove(&n) == Some(self.min) {
+            self.at_min -= 1;
+            if self.at_min == 0 {
+                self.rescan();
+            }
+        }
+    }
+
+    fn rescan(&mut self) {
+        self.min = self
+            .durations
+            .values()
+            .min()
+            .copied()
+            .unwrap_or(SimDuration(u64::MAX));
+        self.at_min = self.durations.values().filter(|&&d| d == self.min).count();
     }
 
     /// Relative speed of node `n` in `(0, 1]`, or `None` if the node has
     /// never benchmarked.
     pub fn relative_speed(&self, n: NodeId) -> Option<f64> {
         let d = self.durations.get(&n)?;
-        let min = self.durations.values().min()?;
-        Some(min.0 as f64 / d.0 as f64)
-    }
-
-    /// All relative speeds, keyed by node.
-    pub fn all_relative_speeds(&self) -> BTreeMap<NodeId, f64> {
-        let Some(min) = self.durations.values().min().copied() else {
-            return BTreeMap::new();
-        };
-        self.durations
-            .iter()
-            .map(|(&n, &d)| (n, min.0 as f64 / d.0 as f64))
-            .collect()
+        Some(self.min.0 as f64 / d.0 as f64)
     }
 
     /// Number of nodes with a known speed.
@@ -233,15 +268,5 @@ mod tests {
         assert_eq!(t.relative_speed(NodeId(1)), Some(1.0));
         assert_eq!(t.relative_speed(NodeId(0)), None);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn all_relative_speeds_matches_pointwise() {
-        let mut t = SpeedTracker::new();
-        t.record(NodeId(3), SimDuration::from_millis(500));
-        t.record(NodeId(9), SimDuration::from_millis(1500));
-        let all = t.all_relative_speeds();
-        assert_eq!(all.len(), 2);
-        assert!((all[&NodeId(9)] - 1.0 / 3.0).abs() < 1e-12);
     }
 }

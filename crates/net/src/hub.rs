@@ -584,23 +584,9 @@ impl HubCore {
         if self.control.blacklisted_clusters.contains(&cluster) {
             return Err(format!("cluster {cluster} is blacklisted"));
         }
-        // Force the grant into the declared cluster by excluding all others.
-        let excl: BTreeSet<ClusterId> = (0..self.clusters)
-            .map(|i| ClusterId(i as u16))
-            .filter(|c| *c != cluster)
-            .chain(self.control.blacklisted_clusters.iter().copied())
-            .collect();
         let grant = self
             .pool
-            .request(
-                1,
-                AllocPolicy::LocalityAware,
-                &Requirements::default(),
-                &self.control.blacklisted_nodes,
-                &excl,
-                &[cluster],
-            )
-            .pop()
+            .request_in_cluster(cluster, &self.control.blacklisted_nodes)
             .ok_or_else(|| format!("cluster {cluster} has no free nodes"))?;
         self.membership.join(now, grant.node, grant.cluster);
         Ok((grant.node, true))

@@ -69,9 +69,8 @@ impl AdaptiveRuntime {
             }
         }
         // 2. Collect the period's overhead statistics.
-        let rel = self.speeds.all_relative_speeds();
         for (mut report, _) in self.runtime.take_monitoring_reports() {
-            report.speed = rel.get(&report.node).copied().unwrap_or(1.0);
+            report.speed = self.speeds.relative_speed(report.node).unwrap_or(1.0);
             self.coordinator.record_report(report);
         }
         // 3. Decide and apply.

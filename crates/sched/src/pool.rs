@@ -228,10 +228,15 @@ impl ResourcePool {
                 // Preferred sites first, then the fullest sites (fewest
                 // distinct sites overall), id as the final deterministic
                 // tie-break.
-                order.sort_by_key(|&i| {
+                let mut preferred = vec![false; self.clusters.len()];
+                for c in prefer {
+                    if let Some(p) = preferred.get_mut(c.index()) {
+                        *p = true;
+                    }
+                }
+                order.sort_unstable_by_key(|&i| {
                     let c = &self.clusters[i];
-                    let preferred = prefer.contains(&c.id);
-                    (!preferred, usize::MAX - c.free.len(), c.id)
+                    (!preferred[i], usize::MAX - c.free.len(), c.id)
                 });
             }
             AllocPolicy::FastestFirst => {
@@ -269,6 +274,34 @@ impl ResourcePool {
             sm.grants.add(grants.len() as u64);
         }
         grants
+    }
+
+    /// Grants the lowest free node of `cluster` that is not in
+    /// `excluded_nodes`, or `None` when there is none. Counts as one
+    /// request, like [`Self::request`] confined to that cluster.
+    pub fn request_in_cluster(
+        &mut self,
+        cluster: ClusterId,
+        excluded_nodes: &BTreeSet<NodeId>,
+    ) -> Option<NodeGrant> {
+        let c = &mut self.clusters[cluster.index()];
+        let node = c
+            .free
+            .iter()
+            .find(|id| !excluded_nodes.contains(id))
+            .copied();
+        if let Some(node) = node {
+            c.free.remove(&node);
+        }
+        if let Some(sm) = &self.sm {
+            sm.requests.inc();
+            sm.grants.add(u64::from(node.is_some()));
+        }
+        node.map(|node| NodeGrant {
+            node,
+            cluster,
+            base_speed: c.base_speed,
+        })
     }
 
     /// Returns a node to the free pool (the application released it).
@@ -420,6 +453,60 @@ mod tests {
         );
         assert!(g.iter().all(|x| x.node != NodeId(0) && x.node != NodeId(1)));
         assert_eq!(g.len(), 8);
+    }
+
+    /// The direct in-cluster grant hands out what a locality request with
+    /// every other cluster excluded does, and counts the same.
+    #[test]
+    fn in_cluster_grant_matches_a_request_confined_to_the_cluster() {
+        use sagrid_core::rng::{Rng64, SplitMix64};
+        let cfg = GridConfig::uniform(4, 6);
+        let (mut direct, mut via_request) = (ResourcePool::new(&cfg), ResourcePool::new(&cfg));
+        let (m_direct, m_request) = (Metrics::enabled(), Metrics::enabled());
+        direct.set_metrics(&m_direct);
+        via_request.set_metrics(&m_request);
+        let mut rng = SplitMix64::new(7);
+        let mut blacklist = BTreeSet::new();
+        for _ in 0..400 {
+            let cluster = ClusterId(rng.gen_index(4) as u16);
+            match rng.gen_index(4) {
+                0 => {
+                    blacklist.insert(NodeId(rng.gen_index(24) as u32));
+                }
+                1 => {
+                    let node = NodeId(rng.gen_index(24) as u32);
+                    if !direct.reserve(node) {
+                        direct.release(node);
+                        via_request.release(node);
+                    } else {
+                        assert!(via_request.reserve(node));
+                    }
+                }
+                _ => {
+                    let others: BTreeSet<ClusterId> =
+                        (0..4).map(ClusterId).filter(|&c| c != cluster).collect();
+                    let expected = via_request
+                        .request(
+                            1,
+                            AllocPolicy::LocalityAware,
+                            &Requirements::default(),
+                            &blacklist,
+                            &others,
+                            &[cluster],
+                        )
+                        .pop();
+                    assert_eq!(direct.request_in_cluster(cluster, &blacklist), expected);
+                }
+            }
+        }
+        for name in ["sched.requests", "sched.grants", "sched.releases"] {
+            assert_eq!(
+                m_direct.report().counter(name),
+                m_request.report().counter(name),
+                "{name}"
+            );
+        }
+        assert!(m_direct.report().counter("sched.grants") > 0);
     }
 
     #[test]

@@ -1416,7 +1416,6 @@ impl GridSim {
             }
         }
         self.scratch_ids = ids;
-        let rel = self.speeds.all_relative_speeds();
         // Per-cluster ic-overhead telemetry (mirrors what the coordinator's
         // exceptional-cluster rule sees).
         let mut per_cluster: std::collections::BTreeMap<ClusterId, (f64, usize)> =
@@ -1435,7 +1434,7 @@ impl GridSim {
         ));
         for (mut report, _) in raw {
             self.aggregate.merge(&report.breakdown);
-            report.speed = rel.get(&report.node).copied().unwrap_or(1.0);
+            report.speed = self.speeds.relative_speed(report.node).unwrap_or(1.0);
             self.coordinator.record_report(report);
         }
         // Bandwidth observations, estimated from the data-transfer times

@@ -258,5 +258,19 @@ bash benchmark/run.sh --workload paper36 --seed 1 --seconds 3 --trace 1 </dev/nu
 grep -qF '"net.steal.server_threads":{"value":1,' target/ci_bench_paper36_traced.json \
     || { echo "  paper36: expected one steal server thread" >&2; exit 1; }
 echo "  paper36 (traced): net.steal.server_threads 1"
+# Where the control path's reaction time goes, on the paper's scale and at
+# width (256 members, churn): the hub's forwarding and relay lags, the
+# coordinator's warm evaluation, and the reaction's tail. Printed only:
+# these are timings on shared hardware. The wide run must still be correct.
+bash benchmark/run.sh --workload wide_churn --seed 1 --seconds 3 --trace 1 </dev/null \
+    | tail -n 1 > target/ci_bench_wide_churn_traced.json
+grep -q '"correct":true' target/ci_bench_wide_churn_traced.json
+for w in paper36 wide_churn; do
+    for m in net.hub.fwd_lag_p50_us adapt.eval_us.flat net.hub.relay_lag_p50_us ctl.react_p95_us; do
+        v="$(sed -n "s/.*\"$m\":{\"value\":\([0-9.e+-]*\),.*/\1/p" "target/ci_bench_${w}_traced.json")"
+        printf '  %-10s (traced): %-26s %s\n' "$w" "$m" "${v:-MISSING}"
+        [ -n "$v" ] || echo "  WARNING: $w traced run did not report $m"
+    done
+done
 
 echo "CI OK"

@@ -13,6 +13,10 @@
 //!   otherwise    → no action (unless opportunistic migration is enabled)
 //! ```
 //!
+//! It also scales each report's speed against the fastest benchmark
+//! ([`Coordinator::record_benchmark`], §3.2), and forgets a departed node's
+//! benchmark with its report, so the node stops anchoring the survivors.
+//!
 //! The coordinator *learns* application requirements along the way: removed
 //! resources are blacklisted, and each removed badly-connected cluster
 //! tightens the lower bound on the bandwidth the application needs, which is
@@ -20,10 +24,11 @@
 
 use crate::badness::{node_badness, worst_cluster, worst_first, ClusterSum, ClusterSums};
 use crate::efficiency::wa_efficiency_of_reports;
+use crate::monitor::SpeedTracker;
 use crate::policy::AdaptPolicy;
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::stats::MonitoringReport;
-use sagrid_core::time::SimTime;
+use sagrid_core::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Requirements the coordinator has learned and passes to the scheduler.
@@ -202,6 +207,8 @@ pub struct Coordinator {
     /// Per-cluster sums of the latest evaluation, kept for the next one's
     /// reuse.
     clusters: ClusterSums,
+    /// Latest raw benchmark time per node, scaled into reports' speeds.
+    speeds: SpeedTracker,
 }
 
 impl Coordinator {
@@ -220,6 +227,7 @@ impl Coordinator {
             last: None,
             suspects: BTreeSet::new(),
             clusters: ClusterSums::default(),
+            speeds: SpeedTracker::new(),
         }
     }
 
@@ -233,18 +241,37 @@ impl Coordinator {
         self.policy.coefficients = coefficients;
     }
 
+    /// Stores a node's latest raw benchmark time (paper §3.2; panics if
+    /// zero), kept until a new one arrives or the node is forgotten.
+    pub fn record_benchmark(&mut self, node: NodeId, duration: SimDuration) {
+        self.speeds.record(node, duration);
+    }
+
     /// Stores a node's end-of-period report (overwrites the previous one).
+    /// Its speed becomes the node's benchmark relative to the fastest
+    /// known node's; a node that never benchmarked keeps the report's own.
     /// A fresh report from a Suspect member is proof of life: the
     /// suspicion is cleared in place.
-    pub fn record_report(&mut self, report: MonitoringReport) {
+    pub fn record_report(&mut self, mut report: MonitoringReport) {
+        if let Some(speed) = self.speeds.relative_speed(report.node) {
+            report.speed = speed;
+        }
         self.suspects.remove(&report.node);
         self.latest.insert(report.node, report);
     }
 
     /// Forgets a node that left or died.
     pub fn node_gone(&mut self, node: NodeId) {
-        self.latest.remove(&node);
-        self.suspects.remove(&node);
+        self.forget(&[node]);
+    }
+
+    /// Drops departed nodes' reports, benchmarks and suspicions.
+    fn forget(&mut self, nodes: &[NodeId]) {
+        for &node in nodes {
+            self.latest.remove(&node);
+            self.speeds.remove(node);
+            self.suspects.remove(&node);
+        }
     }
 
     /// Marks a member as Suspect: the failure detector has observed
@@ -421,9 +448,7 @@ impl Coordinator {
                 let bound = self.learned.min_uplink_bps.unwrap_or(0.0).max(bw);
                 self.learned.min_uplink_bps = Some(bound);
             }
-            for node in &nodes {
-                self.latest.remove(node);
-            }
+            self.forget(&nodes);
             return self.log_and_return(
                 now,
                 wa_eff,
@@ -481,9 +506,7 @@ impl Coordinator {
             if self.policy.blacklist_removed {
                 self.blacklisted_nodes.extend(nodes.iter().copied());
             }
-            for node in &nodes {
-                self.latest.remove(node);
-            }
+            self.forget(&nodes);
             return self.log_and_return(
                 now,
                 wa_eff,
@@ -528,9 +551,7 @@ impl Coordinator {
                     // Replacements must beat the best node we are retiring.
                     let fastest_removed = slow.iter().map(|&(_, s)| s).fold(0.0_f64, f64::max);
                     requirements.min_speed = Some(fastest_removed * margin);
-                    for node in &remove {
-                        self.latest.remove(node);
-                    }
+                    self.forget(&remove);
                     let decision = Decision::OpportunisticSwap {
                         remove,
                         add,
@@ -567,17 +588,10 @@ impl Coordinator {
     /// re-adding survivors of a failed site would just invite the next
     /// fault-detection round-trip.
     pub fn record_crashed(&mut self, nodes: &[NodeId], cluster: Option<ClusterId>) {
-        for node in nodes {
-            self.latest.remove(node);
-            self.suspects.remove(node);
-            if self.policy.blacklist_removed {
-                self.blacklisted_nodes.insert(*node);
-            }
-        }
-        if let Some(c) = cluster {
-            if self.policy.blacklist_removed {
-                self.blacklisted_clusters.insert(c);
-            }
+        self.forget(nodes);
+        if self.policy.blacklist_removed {
+            self.blacklisted_nodes.extend(nodes);
+            self.blacklisted_clusters.extend(cluster);
         }
     }
 
@@ -1057,6 +1071,113 @@ mod tests {
         c.record_report(report(1, 0, 1.0, 0.4, 0.0));
         c.node_gone(NodeId(0));
         assert_eq!(c.known_nodes(), 1);
+    }
+
+    /// The speed a report carries in when its node never benchmarked.
+    const UNBENCHMARKED: f64 = 0.7;
+
+    /// Records a fresh report for `id` and returns the speed the
+    /// coordinator gave it.
+    fn speed_of_fresh_report(c: &mut Coordinator, id: u32, cluster: u16) -> f64 {
+        c.record_report(report(id, cluster, UNBENCHMARKED, 0.4, 0.0));
+        let fresh = c.latest_reports().find(|r| r.node == NodeId(id));
+        fresh.unwrap().speed
+    }
+
+    /// Benchmarks `(node, cluster, seconds)` and records a report for each.
+    fn benchmarked(c: &mut Coordinator, nodes: &[(u32, u16, u64)], busy: f64, ic: f64) {
+        for &(id, cluster, secs) in nodes {
+            c.record_benchmark(NodeId(id), SimDuration::from_secs(secs));
+            c.record_report(report(id, cluster, UNBENCHMARKED, busy, ic));
+        }
+    }
+
+    /// After a departure the survivor is scaled against the nodes that
+    /// remain, and the departed node's benchmark is gone with its report.
+    fn assert_forgotten(c: &mut Coordinator, survivor: (u32, u16), departed: (u32, u16)) {
+        assert_eq!(speed_of_fresh_report(c, survivor.0, survivor.1), 1.0);
+        assert_eq!(
+            speed_of_fresh_report(c, departed.0, departed.1),
+            UNBENCHMARKED
+        );
+    }
+
+    #[test]
+    fn reports_take_their_speed_from_the_benchmarks() {
+        let mut c = coordinator();
+        benchmarked(&mut c, &[(0, 0, 1), (1, 0, 4)], 0.4, 0.0);
+        let speeds: Vec<f64> = c.latest_reports().map(|r| r.speed).collect();
+        assert_eq!(speeds, vec![1.0, 0.25]);
+        // A node that never benchmarked keeps the speed its report carries.
+        assert_eq!(speed_of_fresh_report(&mut c, 2, 0), UNBENCHMARKED);
+    }
+
+    #[test]
+    fn node_gone_forgets_the_benchmark() {
+        let mut c = coordinator();
+        benchmarked(&mut c, &[(0, 0, 1), (1, 0, 2)], 0.4, 0.0);
+        c.node_gone(NodeId(0));
+        assert_forgotten(&mut c, (1, 0), (0, 0));
+    }
+
+    #[test]
+    fn crashed_nodes_stop_anchoring_speeds() {
+        let mut c = coordinator();
+        benchmarked(&mut c, &[(0, 0, 1), (1, 0, 2)], 0.4, 0.0);
+        c.record_crashed(&[NodeId(0)], None);
+        assert_forgotten(&mut c, (1, 0), (0, 0));
+    }
+
+    #[test]
+    fn removed_nodes_stop_anchoring_speeds() {
+        let mut c = Coordinator::new(AdaptPolicy {
+            min_nodes: 2,
+            ..Default::default()
+        });
+        // The fastest node is the worst by its inter-cluster overhead.
+        c.record_benchmark(NodeId(0), SimDuration::from_secs(1));
+        c.record_report(report(0, 0, UNBENCHMARKED, 0.1, 0.2));
+        benchmarked(&mut c, &[(1, 0, 2), (2, 0, 2)], 0.3, 0.0);
+        let d = c.evaluate(SimTime::ZERO, None);
+        assert_eq!(
+            d,
+            Decision::RemoveNodes {
+                nodes: vec![NodeId(0)]
+            }
+        );
+        assert_forgotten(&mut c, (1, 0), (0, 0));
+    }
+
+    #[test]
+    fn removed_clusters_stop_anchoring_speeds() {
+        let mut c = coordinator();
+        benchmarked(&mut c, &[(0, 0, 2), (1, 0, 2)], 0.6, 0.02);
+        // The badly-connected cluster holds the fastest nodes.
+        benchmarked(&mut c, &[(2, 1, 1), (3, 1, 1)], 0.2, 0.4);
+        let d = c.evaluate(SimTime::ZERO, None);
+        assert!(
+            matches!(d, Decision::RemoveCluster { cluster, .. } if cluster == ClusterId(1)),
+            "got {d:?}"
+        );
+        assert_forgotten(&mut c, (0, 0), (2, 1));
+    }
+
+    #[test]
+    fn swapped_out_nodes_are_forgotten() {
+        let mut c = Coordinator::new(AdaptPolicy {
+            opportunistic_migration: true,
+            ..Default::default()
+        });
+        c.record_benchmark(NodeId(0), SimDuration::from_secs(1));
+        c.record_report(report(0, 0, UNBENCHMARKED, 0.42, 0.0));
+        c.record_benchmark(NodeId(1), SimDuration::from_secs(4));
+        c.record_report(report(1, 0, UNBENCHMARKED, 0.8, 0.0));
+        let d = c.evaluate(SimTime::ZERO, Some(1.0));
+        assert!(
+            matches!(&d, Decision::OpportunisticSwap { remove, .. } if remove == &[NodeId(1)]),
+            "got {d:?}"
+        );
+        assert_forgotten(&mut c, (0, 0), (1, 0));
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! emits **one digest message per monitoring period** containing compact
 //! per-node summaries (id, speed, overhead fraction, inter-cluster
 //! fraction). The [`HierarchicalCoordinator`] reconstructs equivalent
-//! reports from the digests and runs the ordinary [`Coordinator`] on them,
+//! reports from the digests and runs the ordinary [`Coordinator`] on them
+//! (benchmarks go straight to it, so replayed reports take its speeds),
 //! so its decisions are *identical* to the flat design (tested) while the
 //! main coordinator receives `O(clusters)` messages per period instead of
 //! `O(nodes)`.
@@ -30,7 +31,8 @@ use std::collections::BTreeMap;
 pub struct NodeSummary {
     /// The node.
     pub node: NodeId,
-    /// Relative speed in `(0, 1]`.
+    /// The report's relative speed in `(0, 1]`; the main coordinator
+    /// replaces it with its own benchmark-derived speed when it has one.
     pub speed: f64,
     /// Total overhead fraction for the period.
     pub overhead: f64,
@@ -144,6 +146,12 @@ impl HierarchicalCoordinator {
             .entry(report.cluster)
             .or_insert_with(|| SubCoordinator::new(report.cluster))
             .record_report(report);
+    }
+
+    /// Forwards a benchmark to the main coordinator, whose speeds the
+    /// replayed digests take (see [`Coordinator::record_benchmark`]).
+    pub fn record_benchmark(&mut self, node: NodeId, duration: SimDuration) {
+        self.main.record_benchmark(node, duration);
     }
 
     /// Marks a member Suspect (see [`Coordinator::mark_suspect`]).
@@ -297,18 +305,32 @@ mod tests {
         }
     }
 
-    /// Feeds the same reports to a flat and a hierarchical coordinator and
-    /// checks the decisions coincide across the interesting flowchart
-    /// branches.
+    /// Feeds the same benchmarks and reports to a flat and a hierarchical
+    /// coordinator and checks the decisions coincide across the interesting
+    /// flowchart branches. Each report's speed arrives as a benchmark time,
+    /// as the engines send it, and the report itself carries 1.0.
     fn assert_equivalent(reports: Vec<MonitoringReport>) {
         let mut flat = Coordinator::new(AdaptPolicy::default());
         let mut hier = HierarchicalCoordinator::new(AdaptPolicy::default());
         for r in &reports {
-            flat.record_report(*r);
-            hier.record_report(*r);
+            let bench = SimDuration((1_000_000.0 / r.speed) as u64);
+            let unscaled = MonitoringReport { speed: 1.0, ..*r };
+            flat.record_benchmark(r.node, bench);
+            flat.record_report(unscaled);
+            hier.record_benchmark(r.node, bench);
+            hier.record_report(unscaled);
         }
         let t = SimTime::from_secs(180);
         assert_eq!(flat.evaluate(t, None), hier.evaluate(t, None));
+        // The replayed digests took their speeds from the main coordinator.
+        let speeds = |e: &crate::coordinator::DecisionLogEntry| -> Vec<(NodeId, f64)> {
+            e.badness.iter().map(|b| (b.node, b.speed)).collect()
+        };
+        let mut got = speeds(flat.last_decision().unwrap());
+        assert_eq!(got, speeds(hier.main().last_decision().unwrap()));
+        got.sort_by_key(|&(n, _)| n);
+        let sent: Vec<(NodeId, f64)> = reports.iter().map(|r| (r.node, r.speed)).collect();
+        assert_eq!(got, sent);
     }
 
     #[test]

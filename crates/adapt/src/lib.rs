@@ -50,5 +50,7 @@ pub use coordinator::{Coordinator, Decision, DecisionLogEntry, NodeBadnessRecord
 pub use efficiency::{efficiency, wa_efficiency, wa_efficiency_of_reports};
 pub use feedback::{DominantTerm, FeedbackTuner};
 pub use hierarchy::{ClusterDigest, HierarchicalCoordinator, SubCoordinator};
+// `SpeedTracker` is public only for the `benchmark/` generator and this
+// crate's tests; the engines feed `Coordinator::record_benchmark`.
 pub use monitor::{BenchmarkScheduler, SpeedTracker};
 pub use policy::AdaptPolicy;

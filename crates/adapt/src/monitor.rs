@@ -10,7 +10,9 @@
 //! * [`SpeedTracker`] — the coordinator-side normalization of raw benchmark
 //!   times into relative speeds in `(0, 1]` (fastest = 1), including the
 //!   paper's fallback of using the previous period's data for nodes whose
-//!   report was missed.
+//!   report was missed. [`crate::Coordinator`] owns one; the type stays
+//!   public only for the `benchmark/` generator (and this crate's tests)
+//!   until it moves to [`crate::Coordinator::record_benchmark`].
 
 use sagrid_core::ids::NodeId;
 use sagrid_core::time::{SimDuration, SimTime};

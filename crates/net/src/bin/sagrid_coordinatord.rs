@@ -16,7 +16,7 @@
 //! `--out` as soon as it is emitted, and the instrument records follow at
 //! shutdown, so memory does not grow with the number of decisions.
 
-use sagrid_adapt::{AdaptPolicy, Coordinator, Decision, SpeedTracker};
+use sagrid_adapt::{AdaptPolicy, Coordinator, Decision};
 use sagrid_core::json::parse_json;
 use sagrid_core::metrics::{Metrics, Value};
 use sagrid_core::time::{SimDuration, SimTime};
@@ -106,7 +106,6 @@ fn run() -> Result<(), String> {
         .counter("adapt.holdfire.decisions")
         .expect("enabled");
     let mut coordinator = Coordinator::new(AdaptPolicy::default());
-    let mut speeds = SpeedTracker::new();
     let mut emitted = 0usize;
     let epoch = Instant::now();
     let started = Instant::now();
@@ -121,11 +120,11 @@ fn run() -> Result<(), String> {
         match events_rx.recv_timeout(Duration::from_millis(50)) {
             Ok(NetEvent::Message(_, msg)) => match msg {
                 Message::StatsReport {
-                    mut report,
+                    report,
                     bench_micros,
                 } if !coordinator.blacklisted_nodes().contains(&report.node) => {
-                    speeds.record(report.node, SimDuration::from_micros(bench_micros.max(1)));
-                    report.speed = speeds.relative_speed(report.node).unwrap_or(1.0);
+                    let bench = SimDuration::from_micros(bench_micros.max(1));
+                    coordinator.record_benchmark(report.node, bench);
                     coordinator.record_report(report);
                 }
                 Message::SuspectNotice { node, suspected } => {
@@ -147,7 +146,6 @@ fn run() -> Result<(), String> {
                     // cluster (the hub reports cluster-wide outages as
                     // individual notices for every member).
                     coordinator.record_crashed(&[node], None);
-                    speeds.remove(node);
                     println!("CRASH_RECORDED node={}", node.0);
                 }
                 Message::HubEpoch { epoch: e, leader } => {
@@ -205,21 +203,14 @@ fn run() -> Result<(), String> {
                         min_speed: requirements.min_speed,
                     });
                 }
+                // `evaluate` has already forgotten the removed nodes.
                 Decision::RemoveNodes { nodes } => {
-                    for n in nodes {
-                        speeds.remove(*n);
-                        coordinator.node_gone(*n);
-                    }
                     conn.send(Message::Shrink {
                         nodes: nodes.clone(),
                         cluster: None,
                     });
                 }
                 Decision::RemoveCluster { cluster, nodes } => {
-                    for n in nodes {
-                        speeds.remove(*n);
-                        coordinator.node_gone(*n);
-                    }
                     conn.send(Message::Shrink {
                         nodes: nodes.clone(),
                         cluster: Some(*cluster),

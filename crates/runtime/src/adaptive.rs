@@ -3,10 +3,11 @@
 //!
 //! [`AdaptiveRuntime`] owns a [`Runtime`] plus an
 //! [`sagrid_adapt::Coordinator`]. Each call to [`AdaptiveRuntime::tick`]
-//! plays one monitoring period: benchmark the workers, collect their
-//! overhead statistics, compute weighted average efficiency, and apply the
-//! coordinator's decision to the pool (add workers up to the configured
-//! capacity, retire the worst ones, drop a badly-connected "cluster").
+//! plays one monitoring period: tell the coordinator which workers are
+//! gone, feed it their benchmark times and overhead statistics (it scales
+//! the speeds), and apply its decision to the pool (add workers up to the
+//! configured capacity, retire the worst ones, drop a badly-connected
+//! "cluster").
 //!
 //! This is the same decision code the discrete-event engine runs at DAS-2
 //! scale; here it manipulates actual OS threads, which is what the
@@ -14,7 +15,7 @@
 
 use crate::runtime::{Runtime, WorkerId};
 use sagrid_adapt::coordinator::Decision;
-use sagrid_adapt::{AdaptPolicy, Coordinator, SpeedTracker};
+use sagrid_adapt::{AdaptPolicy, Coordinator};
 use sagrid_core::ids::NodeId;
 use sagrid_core::time::SimDuration;
 use std::sync::Arc;
@@ -23,7 +24,6 @@ use std::sync::Arc;
 pub struct AdaptiveRuntime {
     runtime: Arc<Runtime>,
     coordinator: Coordinator,
-    speeds: SpeedTracker,
     /// Maximum workers per cluster the "scheduler" may grant.
     capacity_per_cluster: Vec<usize>,
 }
@@ -35,7 +35,6 @@ impl AdaptiveRuntime {
         Self {
             runtime: Arc::new(runtime),
             coordinator: Coordinator::new(policy),
-            speeds: SpeedTracker::new(),
             capacity_per_cluster,
         }
     }
@@ -56,21 +55,25 @@ impl AdaptiveRuntime {
         &self.coordinator
     }
 
-    /// Plays one monitoring period: benchmark, collect, decide, apply.
+    /// Plays one monitoring period: forget, benchmark, collect, decide, apply.
     /// Returns the decision for inspection.
     pub fn tick(&mut self) -> Decision {
-        // 1. Speed benchmarks (paper §3.2).
-        for id in self.runtime.alive_workers() {
-            if let Some(d) = self.runtime.benchmark_worker(id) {
-                self.speeds.record(
-                    NodeId(id as u32),
-                    SimDuration::from_micros(d.as_micros().max(1) as u64),
-                );
-            }
+        // 0. Forget the workers that crashed or left since the last period.
+        let alive = self.runtime.alive_workers();
+        let known: Vec<NodeId> = self.coordinator.latest_reports().map(|r| r.node).collect();
+        for node in known.into_iter().filter(|n| !alive.contains(&n.index())) {
+            self.coordinator.node_gone(node);
         }
-        // 2. Collect the period's overhead statistics.
-        for (mut report, _) in self.runtime.take_monitoring_reports() {
-            report.speed = self.speeds.relative_speed(report.node).unwrap_or(1.0);
+        // 1. Speed benchmarks (paper §3.2); each worker keeps its latest time.
+        for id in alive {
+            let _ = self.runtime.benchmark_worker(id);
+        }
+        // 2. Collect the period's overhead statistics and benchmark times.
+        for (report, bench) in self.runtime.take_monitoring_reports() {
+            if let Some(d) = bench {
+                let d = SimDuration::from_micros(d.as_micros().max(1) as u64);
+                self.coordinator.record_benchmark(report.node, d);
+            }
             self.coordinator.record_report(report);
         }
         // 3. Decide and apply.
@@ -96,12 +99,7 @@ impl AdaptiveRuntime {
                     }
                 }
             }
-            Decision::RemoveNodes { nodes } => {
-                for n in nodes {
-                    self.runtime.remove_worker(n.index() as WorkerId);
-                }
-            }
-            Decision::RemoveCluster { nodes, .. } => {
+            Decision::RemoveNodes { nodes } | Decision::RemoveCluster { nodes, .. } => {
                 for n in nodes {
                     self.runtime.remove_worker(n.index() as WorkerId);
                 }
@@ -178,6 +176,60 @@ mod tests {
             monitoring_period: SimDuration::from_millis(50),
             ..AdaptPolicy::default()
         }
+    }
+
+    /// A quick policy that never shrinks below `n` nodes, so an idle
+    /// pool's tick leaves every report in place.
+    fn keep_policy(n: usize) -> AdaptPolicy {
+        AdaptPolicy {
+            min_nodes: n,
+            ..quick_policy()
+        }
+    }
+
+    #[test]
+    fn removing_the_fastest_worker_rescales_the_survivors() {
+        let _cpu = crate::CPU_TIMING.lock().unwrap_or_else(|e| e.into_inner());
+        let rt = Runtime::new(RuntimeConfig::single_cluster(3));
+        rt.set_worker_speed(1, 0.2);
+        rt.set_worker_speed(2, 0.2);
+        let mut art = AdaptiveRuntime::new(rt, keep_policy(3), vec![3]);
+        assert_eq!(art.tick(), Decision::None);
+        let speed = |art: &AdaptiveRuntime, n| {
+            let mut reports = art.coordinator().latest_reports();
+            reports.find(|r| r.node == NodeId(n)).map(|r| r.speed)
+        };
+        assert!(speed(&art, 1).unwrap() < 0.5, "worker 0 anchors the scale");
+        // Removed outside a decision: the next tick must notice by itself.
+        art.runtime().remove_worker(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while art.runtime().alive_workers().contains(&0) {
+            assert!(std::time::Instant::now() < deadline, "worker 0 never left");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(art.tick(), Decision::None);
+        let fastest = speed(&art, 1).unwrap().max(speed(&art, 2).unwrap());
+        assert_eq!(fastest, 1.0, "survivors are scaled to the fastest survivor");
+        assert_eq!(speed(&art, 0), None);
+        art.into_runtime().shutdown();
+    }
+
+    #[test]
+    fn crashed_workers_leave_the_coordinator() {
+        let _cpu = crate::CPU_TIMING.lock().unwrap_or_else(|e| e.into_inner());
+        let rt = Runtime::new(RuntimeConfig::single_cluster(3));
+        let mut art = AdaptiveRuntime::new(rt, keep_policy(3), vec![3]);
+        art.tick();
+        assert_eq!(art.coordinator().known_nodes(), 3);
+        art.runtime().crash_worker(0);
+        art.tick();
+        let coordinator = art.coordinator();
+        assert_eq!(
+            coordinator.known_nodes(),
+            art.runtime().alive_workers().len()
+        );
+        assert!(coordinator.latest_reports().all(|r| r.node != NodeId(0)));
+        art.into_runtime().shutdown();
     }
 
     #[test]

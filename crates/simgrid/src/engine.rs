@@ -18,7 +18,7 @@ use crate::result::RunResult;
 use sagrid_adapt::coordinator::{Coordinator, Decision, DecisionLogEntry, LearnedRequirements};
 use sagrid_adapt::feedback::{dominant_term, DominantTerm, FeedbackTuner};
 use sagrid_adapt::hierarchy::HierarchicalCoordinator;
-use sagrid_adapt::{BadnessCoefficients, BandwidthEstimator, SpeedTracker};
+use sagrid_adapt::{BadnessCoefficients, BandwidthEstimator};
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::metrics::{Counter, Gauge, Histogram, MetricEvent, Metrics, Value};
 use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
@@ -116,33 +116,35 @@ enum Coord {
     Hierarchical(HierarchicalCoordinator),
 }
 
+/// Calls the same method on whichever coordinator is active.
+macro_rules! dispatch {
+    ($coord:expr, $c:ident => $call:expr) => {
+        match $coord {
+            Coord::Flat($c) => $call,
+            Coord::Hierarchical($c) => $call,
+        }
+    };
+}
+
 impl Coord {
     fn record_report(&mut self, report: sagrid_core::stats::MonitoringReport) {
-        match self {
-            Coord::Flat(c) => c.record_report(report),
-            Coord::Hierarchical(h) => h.record_report(report),
-        }
+        dispatch!(self, c => c.record_report(report))
+    }
+
+    fn record_benchmark(&mut self, node: NodeId, duration: SimDuration) {
+        dispatch!(self, c => c.record_benchmark(node, duration))
     }
 
     fn node_gone(&mut self, node: NodeId) {
-        match self {
-            Coord::Flat(c) => c.node_gone(node),
-            Coord::Hierarchical(h) => h.node_gone(node),
-        }
+        dispatch!(self, c => c.node_gone(node))
     }
 
     fn observe_uplink(&mut self, cluster: ClusterId, bps: f64) {
-        match self {
-            Coord::Flat(c) => c.observe_uplink(cluster, bps),
-            Coord::Hierarchical(h) => h.observe_uplink(cluster, bps),
-        }
+        dispatch!(self, c => c.observe_uplink(cluster, bps))
     }
 
     fn evaluate(&mut self, now: SimTime, fastest: Option<f64>) -> Decision {
-        match self {
-            Coord::Flat(c) => c.evaluate(now, fastest),
-            Coord::Hierarchical(h) => h.evaluate(now, fastest),
-        }
+        dispatch!(self, c => c.evaluate(now, fastest))
     }
 
     fn main(&self) -> &Coordinator {
@@ -153,24 +155,15 @@ impl Coord {
     }
 
     fn set_coefficients(&mut self, coefficients: BadnessCoefficients) {
-        match self {
-            Coord::Flat(c) => c.set_coefficients(coefficients),
-            Coord::Hierarchical(h) => h.set_coefficients(coefficients),
-        }
+        dispatch!(self, c => c.set_coefficients(coefficients))
     }
 
     fn record_crashed(&mut self, nodes: &[NodeId], cluster: Option<ClusterId>) {
-        match self {
-            Coord::Flat(c) => c.record_crashed(nodes, cluster),
-            Coord::Hierarchical(h) => h.record_crashed(nodes, cluster),
-        }
+        dispatch!(self, c => c.record_crashed(nodes, cluster))
     }
 
     fn mark_suspects(&mut self, nodes: &[NodeId]) {
-        match self {
-            Coord::Flat(c) => c.mark_suspects(nodes),
-            Coord::Hierarchical(h) => h.mark_suspects(nodes),
-        }
+        dispatch!(self, c => c.mark_suspects(nodes))
     }
 }
 
@@ -258,7 +251,6 @@ pub struct GridSim {
     pool: ResourcePool,
     registry: Membership,
     coordinator: Coord,
-    speeds: SpeedTracker,
     bandwidth: BandwidthEstimator,
     /// §7 feedback control state: the tuner plus the pending observation
     /// `(dominant term of the last removal, efficiency at that decision)`.
@@ -360,7 +352,6 @@ impl GridSim {
             pool,
             registry: Membership::new(RegistryConfig::default()),
             coordinator,
-            speeds: SpeedTracker::new(),
             bandwidth: BandwidthEstimator::default(),
             tuner,
             pending_feedback: None,
@@ -1125,7 +1116,6 @@ impl GridSim {
         self.registry.leave(id);
         self.pool.release(id);
         self.coordinator.node_gone(id);
-        self.speeds.remove(id);
         self.record_node_count(now);
         if let Some(em) = &self.em {
             em.leaves.inc();
@@ -1213,9 +1203,6 @@ impl GridSim {
         self.coordinator.record_crashed(&victims, cluster);
         if let Some(em) = &self.em {
             em.suspects_cleared.add(victims.len() as u64);
-        }
-        for v in victims {
-            self.speeds.remove(v);
         }
         self.adopt_tasks(now, tasks);
     }
@@ -1408,11 +1395,10 @@ impl GridSim {
             self.registry.heartbeat(now, id);
             let n = self.node_mut(id);
             n.flush_stats(now);
-            let report = n.stats.take_report(now, 1.0); // speed filled below
-            let bench = n.last_bench_duration;
-            raw.push((report, bench));
-            if let Some(d) = bench {
-                self.speeds.record(id, d);
+            // The coordinator scales the speed once every benchmark is in.
+            raw.push(n.stats.take_report(now, 1.0));
+            if let Some(d) = n.last_bench_duration {
+                self.coordinator.record_benchmark(id, d);
             }
         }
         self.scratch_ids = ids;
@@ -1420,7 +1406,7 @@ impl GridSim {
         // exceptional-cluster rule sees).
         let mut per_cluster: std::collections::BTreeMap<ClusterId, (f64, usize)> =
             std::collections::BTreeMap::new();
-        for (report, _) in &raw {
+        for report in &raw {
             let e = per_cluster.entry(report.cluster).or_insert((0.0, 0));
             e.0 += report.ic_overhead_fraction();
             e.1 += 1;
@@ -1432,9 +1418,8 @@ impl GridSim {
                 .map(|(c, (sum, n))| (c, sum / n.max(1) as f64))
                 .collect(),
         ));
-        for (mut report, _) in raw {
+        for report in raw {
             self.aggregate.merge(&report.breakdown);
-            report.speed = self.speeds.relative_speed(report.node).unwrap_or(1.0);
             self.coordinator.record_report(report);
         }
         // Bandwidth observations, estimated from the data-transfer times

@@ -23,6 +23,19 @@ else
     echo "clippy not installed; skipping lint"
 fi
 
+echo "== one adaptation loop (the coordinator owns speed normalisation) =="
+# The engines feed raw benchmark times to Coordinator::record_benchmark,
+# and the coordinator forgets departed nodes' speeds itself. An engine that
+# keeps its own SpeedTracker has to pair every departure with a second
+# remove, and the threaded runtime once forgot to. No program code under
+# crates/ outside sagrid-adapt may name the type (test directories aside).
+if grep -rl --include='*.rs' --exclude-dir=tests 'SpeedTracker' crates \
+    | grep -v '^crates/adapt/'; then
+    echo "  FAIL: the files above name SpeedTracker; feed Coordinator::record_benchmark instead" >&2
+    exit 1
+fi
+echo "  no SpeedTracker outside crates/adapt"
+
 echo "== build =="
 cargo build --workspace --release
 

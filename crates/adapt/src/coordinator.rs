@@ -236,11 +236,6 @@ impl Coordinator {
         &self.policy
     }
 
-    /// Replaces the badness coefficients (feedback control, paper §7).
-    pub fn set_coefficients(&mut self, coefficients: crate::badness::BadnessCoefficients) {
-        self.policy.coefficients = coefficients;
-    }
-
     /// Stores a node's latest raw benchmark time (paper §3.2; panics if
     /// zero), kept until a new one arrives or the node is forgotten.
     pub fn record_benchmark(&mut self, node: NodeId, duration: SimDuration) {

@@ -245,11 +245,6 @@ impl HierarchicalCoordinator {
         &self.main
     }
 
-    /// Replaces the badness coefficients (feedback control, paper §7).
-    pub fn set_coefficients(&mut self, coefficients: crate::badness::BadnessCoefficients) {
-        self.main.set_coefficients(coefficients);
-    }
-
     /// Messages the main coordinator received (digests) versus the
     /// per-node messages it would have received in the flat design.
     pub fn message_counts(&self) -> (u64, u64) {

@@ -24,8 +24,6 @@
 //!   data-transfer times (feeds the learned requirements);
 //! * [`hierarchy`] — §7 future work: one sub-coordinator per cluster
 //!   aggregating its statistics stream into a single digest per period;
-//! * [`feedback`] — §7 future work: feedback control refining the badness
-//!   coefficients from the effectiveness of past decisions.
 //!
 //! Everything here is a pure state machine over
 //! [`sagrid_core::stats::MonitoringReport`]s — both the threaded runtime and
@@ -39,7 +37,6 @@ pub mod badness;
 pub mod bandwidth;
 pub mod coordinator;
 pub mod efficiency;
-pub mod feedback;
 pub mod hierarchy;
 pub mod monitor;
 pub mod policy;
@@ -48,7 +45,6 @@ pub use badness::{cluster_badness, node_badness, BadnessCoefficients};
 pub use bandwidth::BandwidthEstimator;
 pub use coordinator::{Coordinator, Decision, DecisionLogEntry, NodeBadnessRecord};
 pub use efficiency::{efficiency, wa_efficiency, wa_efficiency_of_reports};
-pub use feedback::{DominantTerm, FeedbackTuner};
 pub use hierarchy::{ClusterDigest, HierarchicalCoordinator, SubCoordinator};
 // `SpeedTracker` is public only for the `benchmark/` generator and this
 // crate's tests; the engines feed `Coordinator::record_benchmark`.

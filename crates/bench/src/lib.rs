@@ -1,21 +1,18 @@
 //! # sagrid-bench
 //!
 //! Hand-rolled, registry-free benchmarks (`std::time::Instant` harness; the
-//! container has no crates.io access, so there is no criterion here). Four
-//! suites, all `harness = false` binaries under `benches/`:
+//! container has no crates.io access, so there is no criterion here). Two
+//! suites, both `harness = false` binaries under `benches/`:
 //!
-//! * `figures` — one benchmark per paper figure/table: each measures the
-//!   wall time of regenerating the figure's data on the discrete-event
-//!   engine (shortened runs; the full-scale regeneration lives in
-//!   `cargo run -p sagrid-exp --release -- --all`);
 //! * `micro` — component benchmarks: event-kernel throughput, metric and
 //!   badness computation, workload generation, network model, Barnes-Hut
 //!   steps, and the threaded runtime's spawn/steal machinery;
-//! * `ablations` — the DESIGN.md ablations: CRS vs plain random stealing,
-//!   badness-coefficient variants, opportunistic migration on/off;
 //! * `des_throughput` — discrete-event engine throughput in events/second
 //!   on the scenario 1 and scenario 4 workloads, with a JSON report
 //!   (`BENCH_des_throughput.json`) for regression tracking.
+//!
+//! The paper's figures, tables and ablations are regenerated by
+//! `cargo run -p sagrid-exp --release -- --all` / `--ablations`.
 //!
 //! Shared helpers live here: the scenario shortener, the measurement
 //! harness, and a minimal JSON emitter.

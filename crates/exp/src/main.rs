@@ -27,6 +27,9 @@
 //! violation. `--fuzz N` runs `N` seeded random scenarios (seeds
 //! `SEED..SEED+N`, `--fuzz-seed` defaults to 0) the same way, printing a
 //! one-line re-run command for every failing seed.
+//!
+//! A bad argument prints the usage line to stderr and exits 2; `--help`
+//! prints it to stdout.
 
 use sagrid_adapt::AdaptPolicy;
 use sagrid_exp::report;
@@ -49,7 +52,12 @@ struct Args {
     fuzz_seed: u64,
 }
 
-fn parse_args() -> Args {
+const USAGE: &str = "usage: experiments [--all] [--figure N] [--table s1] [--ablations]
+                   [--quick] [--serial] [--out DIR] [--emit-metrics DIR]
+                   [--scenario FILE] [--fuzz N] [--fuzz-seed SEED]";
+
+/// Parses the command line; `Ok(None)` asks for the usage text.
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Option<Args>, String> {
     let mut args = Args {
         figures: Vec::new(),
         table_s1: false,
@@ -63,22 +71,27 @@ fn parse_args() -> Args {
         fuzz_seed: 0,
     };
     let mut all = true;
-    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut value = |what: &str| it.next().ok_or_else(|| format!("{a} takes {what}"));
         match a.as_str() {
+            "--help" | "-h" => return Ok(None),
             "--all" => all = true,
             "--figure" => {
                 all = false;
-                let n = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--figure takes a number (1, 3..7)");
+                let what = "a figure number (1, 3..7)";
+                let n = value(what)?
+                    .parse()
+                    .ok()
+                    .filter(|n| matches!(n, 1 | 3..=7))
+                    .ok_or_else(|| format!("--figure takes {what}"))?;
                 args.figures.push(n);
             }
             "--table" => {
                 all = false;
-                let t = it.next().expect("--table takes a name (s1)");
-                assert_eq!(t, "s1", "only table s1 exists");
+                let t = value("a table name (s1)")?;
+                if t != "s1" {
+                    return Err(format!("unknown table {t:?}; only s1 exists"));
+                }
                 args.table_s1 = true;
             }
             "--ablations" => {
@@ -87,31 +100,27 @@ fn parse_args() -> Args {
             }
             "--quick" => args.quick = true,
             "--serial" => args.serial = true,
-            "--out" => args.out = it.next().map(PathBuf::from),
-            "--emit-metrics" => {
-                let dir = it.next().expect("--emit-metrics takes a directory");
-                args.emit_metrics = Some(PathBuf::from(dir));
-            }
+            "--out" => args.out = Some(PathBuf::from(value("a directory")?)),
+            "--emit-metrics" => args.emit_metrics = Some(PathBuf::from(value("a directory")?)),
             "--scenario" => {
                 all = false;
-                let f = it.next().expect("--scenario takes a scenario file");
-                args.scenario = Some(PathBuf::from(f));
+                args.scenario = Some(PathBuf::from(value("a scenario file")?));
             }
             "--fuzz" => {
                 all = false;
-                let n = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--fuzz takes a seed count");
-                args.fuzz = Some(n);
+                let n = value("a seed count")?;
+                args.fuzz = Some(
+                    n.parse()
+                        .map_err(|_| format!("--fuzz takes a seed count, not {n:?}"))?,
+                );
             }
             "--fuzz-seed" => {
-                args.fuzz_seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--fuzz-seed takes an integer seed");
+                let n = value("an integer seed")?;
+                args.fuzz_seed = n
+                    .parse()
+                    .map_err(|_| format!("--fuzz-seed takes an integer seed, not {n:?}"))?;
             }
-            other => panic!("unknown argument {other}; see the crate docs"),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
     if all {
@@ -119,7 +128,7 @@ fn parse_args() -> Args {
         args.table_s1 = true;
         args.ablations = true;
     }
-    args
+    Ok(Some(args))
 }
 
 fn scenario(id: ScenarioId, quick: bool) -> Scenario {
@@ -216,7 +225,17 @@ fn run_fuzz(n: u64, base: u64) -> bool {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("experiments: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     if args.serial {
         parallel::set_thread_override(Some(1));
     }

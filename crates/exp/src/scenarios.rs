@@ -273,7 +273,6 @@ impl Scenario {
                 ..TimingConfig::default()
             },
             record_trace: false,
-            feedback_tuning: false,
             hierarchical_coordinator: true,
             queue_backend: Default::default(),
             seed: self.seed,

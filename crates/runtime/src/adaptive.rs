@@ -69,11 +69,17 @@ impl AdaptiveRuntime {
             let _ = self.runtime.benchmark_worker(id);
         }
         // 2. Collect the period's overhead statistics and benchmark times.
-        for (report, bench) in self.runtime.take_monitoring_reports() {
+        // Every benchmark goes in before the first report, so each report's
+        // speed is scaled against this period's fastest, not against a
+        // peer's benchmark from the period before.
+        let collected = self.runtime.take_monitoring_reports();
+        for (report, bench) in &collected {
             if let Some(d) = bench {
                 let d = SimDuration::from_micros(d.as_micros().max(1) as u64);
                 self.coordinator.record_benchmark(report.node, d);
             }
+        }
+        for (report, _) in collected {
             self.coordinator.record_report(report);
         }
         // 3. Decide and apply.
@@ -240,6 +246,31 @@ mod tests {
         let mut art = AdaptiveRuntime::new(rt, quick_policy(), vec![4]);
         let d = art.tick();
         assert_eq!(d.kind(), "remove-nodes", "idle pool should shrink: {d:?}");
+        art.into_runtime().shutdown();
+    }
+
+    #[test]
+    fn a_tick_right_after_a_removal_does_not_wait_for_the_leavers() {
+        // The second tick's benchmarks time CPU work.
+        let _cpu = crate::CPU_TIMING.lock().unwrap_or_else(|e| e.into_inner());
+        // Long parks leave the removed workers' `Leave` queued when the
+        // next tick probes them (unless a worker happens to wake first).
+        let rt = Runtime::new(RuntimeConfig {
+            idle_park: std::time::Duration::from_millis(100),
+            ..RuntimeConfig::single_cluster(4)
+        });
+        std::thread::sleep(std::time::Duration::from_millis(30));
+        let mut art = AdaptiveRuntime::new(rt, quick_policy(), vec![4]);
+        let d = art.tick();
+        assert_eq!(d.kind(), "remove-nodes", "idle pool should shrink: {d:?}");
+        // A probe queued behind a `Leave` must not wait out its timeout.
+        let start = std::time::Instant::now();
+        art.tick();
+        let took = start.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "tick after a removal took {took:?}"
+        );
         art.into_runtime().shutdown();
     }
 

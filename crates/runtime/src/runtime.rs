@@ -201,16 +201,16 @@ impl Runtime {
 
     /// Runs the spin benchmark on worker `id` and returns the measured
     /// duration (paper §3.2's application-specific speed probe). `None` if
-    /// the worker is gone or unresponsive.
+    /// the worker is gone, leaves before answering, or is unresponsive.
     pub fn benchmark_worker(&self, id: WorkerId) -> Option<Duration> {
-        let probe = BenchProbe::new(self.shared.cfg.benchmark_spins);
+        let (probe, reply) = BenchProbe::new(self.shared.cfg.benchmark_spins);
         {
             let workers = self.shared.workers.read().expect("workers poisoned");
             let w = workers.get(id)?;
             if !w.alive.load(Ordering::Acquire) {
                 return None;
             }
-            w.ctrl.send(Control::Benchmark(probe.clone())).ok()?;
+            w.ctrl.send(Control::Benchmark(reply)).ok()?;
         }
         probe.wait(Duration::from_secs(10))
     }
@@ -322,6 +322,22 @@ mod tests {
     fn computes_fib_on_one_worker() {
         let rt = Runtime::new(RuntimeConfig::single_cluster(1));
         assert_eq!(rt.run(|ctx| fib(ctx, 15)), 610);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn a_probe_queued_behind_leave_returns_at_once() {
+        // The worker sleeps through both sends, then handles `Leave` first.
+        let rt = Runtime::new(RuntimeConfig {
+            idle_park: Duration::from_millis(300),
+            ..RuntimeConfig::single_cluster(1)
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        rt.remove_worker(0);
+        let start = Instant::now();
+        assert_eq!(rt.benchmark_worker(0), None);
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(2), "probe waited {took:?}");
         rt.shutdown();
     }
 

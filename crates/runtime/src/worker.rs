@@ -19,42 +19,66 @@ pub(crate) enum Control {
     /// Simulated crash: abandon everything, exit immediately.
     Crash,
     /// Run the speed benchmark and publish its duration.
-    Benchmark(Arc<BenchProbe>),
+    Benchmark(BenchReply),
 }
 
 /// A speed-benchmark request (paper §3.2: a small application-specific
 /// benchmark re-run periodically to track processor speed).
 pub(crate) struct BenchProbe {
-    pub(crate) spins: u64,
-    pub(crate) result: Mutex<Option<Duration>>,
-    pub(crate) done: Condvar,
+    spins: u64,
+    /// `None` while pending; `Some(None)` once the request was dropped
+    /// unanswered.
+    result: Mutex<Option<Option<Duration>>>,
+    done: Condvar,
 }
 
 impl BenchProbe {
-    pub(crate) fn new(spins: u64) -> Arc<Self> {
-        Arc::new(Self {
+    /// A probe for the caller to wait on, and the reply handle to send to
+    /// the worker.
+    pub(crate) fn new(spins: u64) -> (Arc<Self>, BenchReply) {
+        let probe = Arc::new(Self {
             spins,
             result: Mutex::new(None),
             done: Condvar::new(),
-        })
+        });
+        (Arc::clone(&probe), BenchReply(probe))
     }
 
+    /// The benchmark duration; `None` if the worker went away without
+    /// answering or `timeout` ran out first.
     pub(crate) fn wait(&self, timeout: Duration) -> Option<Duration> {
+        let slot = self.result.lock().expect("probe lock poisoned");
+        let (slot, _) = self
+            .done
+            .wait_timeout_while(slot, timeout, |r| r.is_none())
+            .expect("probe lock poisoned");
+        slot.flatten()
+    }
+
+    fn settle(&self, answer: Option<Duration>) {
         let mut slot = self.result.lock().expect("probe lock poisoned");
         if slot.is_none() {
-            let (guard, _) = self
-                .done
-                .wait_timeout(slot, timeout)
-                .expect("probe lock poisoned");
-            slot = guard;
+            *slot = Some(answer);
+            self.done.notify_all();
         }
-        *slot
     }
+}
 
-    fn publish(&self, d: Duration) {
-        let mut slot = self.result.lock().expect("probe lock poisoned");
-        *slot = Some(d);
-        self.done.notify_all();
+/// The worker's end of a [`BenchProbe`]. Dropping it unanswered settles
+/// the probe with no duration, so a request still queued when its worker
+/// leaves, crashes or shuts down (the channel drops it with the receiver),
+/// or sent after that (the failed send returns it), ends the wait at once.
+pub(crate) struct BenchReply(Arc<BenchProbe>);
+
+impl BenchReply {
+    fn publish(self, d: Duration) {
+        self.0.settle(Some(d));
+    }
+}
+
+impl Drop for BenchReply {
+    fn drop(&mut self) {
+        self.0.settle(None);
     }
 }
 
@@ -411,10 +435,10 @@ pub(crate) fn worker_main(
                     my.alive.store(false, Ordering::Release);
                     return;
                 }
-                Control::Benchmark(probe) => {
+                Control::Benchmark(reply) => {
                     let start = Instant::now();
                     let mut acc = 0u64;
-                    for i in 0..probe.spins {
+                    for i in 0..reply.0.spins {
                         acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
                         std::hint::black_box(acc);
                     }
@@ -430,7 +454,7 @@ pub(crate) fn worker_main(
                     my.stats
                         .last_bench_ns
                         .store(total.as_nanos() as u64, Ordering::Relaxed);
-                    probe.publish(total);
+                    reply.publish(total);
                 }
             }
         }

@@ -854,7 +854,6 @@ impl ScenarioSpec {
             steal_policy: StealPolicy::ClusterAware,
             timing: TimingConfig::default(),
             record_trace: false,
-            feedback_tuning: false,
             hierarchical_coordinator: false,
             queue_backend: Default::default(),
             seed: self.seed,

@@ -101,10 +101,6 @@ pub struct SimConfig {
     /// Record per-node activity traces ([`crate::trace`]). Off by default
     /// (traces cost memory proportional to activity transitions).
     pub record_trace: bool,
-    /// Enable the §7 feedback tuner: the badness coefficients are refined
-    /// at runtime based on whether past node-removal decisions actually
-    /// improved efficiency.
-    pub feedback_tuning: bool,
     /// Use the §7 hierarchical coordinator (one sub-coordinator per
     /// cluster, digests to the main coordinator) instead of the flat one.
     /// Decisions are identical; the main coordinator receives
@@ -166,7 +162,6 @@ mod tests {
             steal_policy: StealPolicy::ClusterAware,
             timing: TimingConfig::default(),
             record_trace: false,
-            feedback_tuning: false,
             hierarchical_coordinator: false,
             queue_backend: None,
             seed: 42,

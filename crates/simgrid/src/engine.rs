@@ -16,9 +16,8 @@ use crate::node::{NodeActivity, SimNode};
 use crate::peers::PeerCache;
 use crate::result::RunResult;
 use sagrid_adapt::coordinator::{Coordinator, Decision, DecisionLogEntry, LearnedRequirements};
-use sagrid_adapt::feedback::{dominant_term, DominantTerm, FeedbackTuner};
 use sagrid_adapt::hierarchy::HierarchicalCoordinator;
-use sagrid_adapt::{BadnessCoefficients, BandwidthEstimator};
+use sagrid_adapt::BandwidthEstimator;
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::metrics::{Counter, Gauge, Histogram, MetricEvent, Metrics, Value};
 use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
@@ -154,10 +153,6 @@ impl Coord {
         }
     }
 
-    fn set_coefficients(&mut self, coefficients: BadnessCoefficients) {
-        dispatch!(self, c => c.set_coefficients(coefficients))
-    }
-
     fn record_crashed(&mut self, nodes: &[NodeId], cluster: Option<ClusterId>) {
         dispatch!(self, c => c.record_crashed(nodes, cluster))
     }
@@ -235,7 +230,6 @@ impl EngineMetrics {
 ///     steal_policy: StealPolicy::ClusterAware,
 ///     timing: TimingConfig::default(),
 ///     record_trace: false,
-///     feedback_tuning: false,
 ///     hierarchical_coordinator: false,
 ///     queue_backend: Default::default(),
 ///     seed: 42,
@@ -252,11 +246,6 @@ pub struct GridSim {
     registry: Membership,
     coordinator: Coord,
     bandwidth: BandwidthEstimator,
-    /// §7 feedback control state: the tuner plus the pending observation
-    /// `(dominant term of the last removal, efficiency at that decision)`.
-    tuner: Option<FeedbackTuner>,
-    pending_feedback: Option<(DominantTerm, f64)>,
-    coefficients: BadnessCoefficients,
     rng: Xoshiro256StarStar,
     /// Dense node table indexed by `NodeId` (pool ids are cluster-major over
     /// the whole grid).
@@ -343,9 +332,6 @@ impl GridSim {
         };
         let rng = Xoshiro256StarStar::seeded(cfg.seed);
         let total = cfg.grid.total_nodes();
-        let tuner = cfg
-            .feedback_tuning
-            .then(|| FeedbackTuner::new(cfg.policy.coefficients));
         let em = EngineMetrics::resolve(&metrics);
         Ok(Self {
             network,
@@ -353,9 +339,6 @@ impl GridSim {
             registry: Membership::new(RegistryConfig::default()),
             coordinator,
             bandwidth: BandwidthEstimator::default(),
-            tuner,
-            pending_feedback: None,
-            coefficients: cfg.policy.coefficients,
             rng,
             nodes: (0..total).map(|_| None).collect(),
             alive: PeerCache::new(cfg.grid.clusters.len(), total),
@@ -1435,30 +1418,8 @@ impl GridSim {
         let eff = self.coordinator.main().current_wa_efficiency();
         self.efficiency_timeline.push((now, eff));
 
-        // §7 feedback control: judge the previous removal by this period's
-        // efficiency and refine the badness coefficients if it flopped.
-        if let (Some(tuner), Some((dominant, eff_before))) =
-            (&self.tuner, self.pending_feedback.take())
-        {
-            let mut coeffs = self.coefficients;
-            if tuner.update(&mut coeffs, dominant, eff_before, eff) {
-                self.coefficients = coeffs;
-                self.coordinator.set_coefficients(coeffs);
-            }
-        }
-
         if self.cfg.mode.adapts() {
             let fastest_available = self.fastest_free_speed();
-            // Snapshot per-node (speed, ic) so a removal decision can be
-            // classified for the feedback tuner (its only reader).
-            let snapshot: Option<std::collections::BTreeMap<NodeId, (f64, f64)>> =
-                self.tuner.is_some().then(|| {
-                    self.coordinator
-                        .main()
-                        .latest_reports()
-                        .map(|r| (r.node, (r.speed, r.ic_overhead_fraction())))
-                        .collect()
-                });
             let decision = self.coordinator.evaluate(now, fastest_available);
             let entry = self
                 .coordinator
@@ -1476,28 +1437,6 @@ impl GridSim {
                 self.metrics.emit(crate::provenance::decision_event(entry));
             }
             self.decisions.push(entry.clone());
-            if let (Some(snapshot), Decision::RemoveNodes { nodes }) = (&snapshot, &decision) {
-                // Majority dominant term over the removed set.
-                let mut ic_votes = 0usize;
-                let mut total = 0usize;
-                for n in nodes {
-                    if let Some(&(speed, ic)) = snapshot.get(n) {
-                        total += 1;
-                        if dominant_term(&self.coefficients, speed, ic) == DominantTerm::IcOverhead
-                        {
-                            ic_votes += 1;
-                        }
-                    }
-                }
-                if total > 0 {
-                    let dominant = if ic_votes * 2 >= total {
-                        DominantTerm::IcOverhead
-                    } else {
-                        DominantTerm::Speed
-                    };
-                    self.pending_feedback = Some((dominant, eff));
-                }
-            }
             self.apply_decision(now, decision);
         }
 
@@ -1711,7 +1650,6 @@ mod tests {
                 ..TimingConfig::default()
             },
             record_trace: false,
-            feedback_tuning: false,
             hierarchical_coordinator: false,
             queue_backend: Default::default(),
             seed: 7,

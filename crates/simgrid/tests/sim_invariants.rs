@@ -23,7 +23,6 @@ struct Scenario {
     mode: u8,
     steal: u8,
     hierarchical: bool,
-    feedback: bool,
     injections: Vec<(u64, u8, f64)>,
     seed: u64,
 }
@@ -49,7 +48,6 @@ fn random_scenario(rng: &mut impl Rng64) -> Scenario {
         mode: rng.gen_range(3) as u8,
         steal: rng.gen_range(2) as u8,
         hierarchical: rng.gen_bool(0.5),
-        feedback: rng.gen_bool(0.5),
         injections,
         seed: rng.next_u64(),
     }
@@ -117,7 +115,6 @@ fn build(s: &Scenario) -> SimConfig {
             ..TimingConfig::default()
         },
         record_trace: false,
-        feedback_tuning: s.feedback,
         hierarchical_coordinator: s.hierarchical,
         queue_backend: Default::default(),
         seed: s.seed,

@@ -149,7 +149,6 @@ fn time_accounting_is_conserved_for_static_runs() {
         steal_policy: StealPolicy::ClusterAware,
         timing: TimingConfig::default(),
         record_trace: false,
-        feedback_tuning: false,
         hierarchical_coordinator: false,
         queue_backend: Default::default(),
         seed: 123,
@@ -186,7 +185,6 @@ fn injections_change_behaviour_only_after_their_time() {
         steal_policy: StealPolicy::ClusterAware,
         timing: TimingConfig::default(),
         record_trace: false,
-        feedback_tuning: false,
         hierarchical_coordinator: false,
         queue_backend: Default::default(),
         seed: 5,

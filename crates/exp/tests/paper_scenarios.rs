@@ -124,8 +124,8 @@ fn monitor_only_traces_partition_each_node_lifetime_and_match_the_stats() {
 #[test]
 fn s5_every_decision_is_reconstructible_from_the_jsonl_stream_alone() {
     // The provenance acceptance bar: parse the emitted JSONL with no access
-    // to the in-memory run, rebuild each decision record, and compare it
-    // field-for-field (wa_eff, badness inputs, blacklist delta, learned
+    // to the in-memory run, rebuild each decision log entry, and compare it
+    // with `==` (wa_eff, badness inputs, blacklist delta, learned
     // requirements) against the coordinator's own log.
     let r = run_with_metrics(ScenarioId::S5CpusAndLink, 40);
     assert!(!r.timed_out);
@@ -140,24 +140,29 @@ fn s5_every_decision_is_reconstructible_from_the_jsonl_stream_alone() {
         r.decisions.len(),
         "one decision event per coordinator decision"
     );
-    for (line, entry) in lines.iter().zip(&r.decisions) {
-        let rec = reconstruct_decision(line).expect("decision event reconstructs");
-        assert!(
-            rec.matches(entry),
-            "JSONL reconstruction diverges from the decision log:\n  rebuilt: {rec:?}\n  logged:  {entry:?}"
-        );
-    }
+    let recs: Vec<_> = lines
+        .iter()
+        .map(|l| reconstruct_decision(l).expect("decision event reconstructs"))
+        .collect();
+    assert_eq!(
+        recs, r.decisions,
+        "JSONL reconstruction diverges from the decision log"
+    );
 
     // The reconstruction alone is enough to tell the scenario's story: the
     // shaped cluster 2 was removed wholesale, and the blacklist snapshot of
     // every later decision still carries it.
-    let recs: Vec<_> = lines
-        .iter()
-        .map(|l| reconstruct_decision(l).unwrap())
-        .collect();
     let removal = recs
         .iter()
-        .position(|rec| rec.kind == "remove-cluster" && rec.cluster == Some(ClusterId(2)))
+        .position(|rec| {
+            matches!(
+                rec.decision,
+                Decision::RemoveCluster {
+                    cluster: ClusterId(2),
+                    ..
+                }
+            )
+        })
         .expect("the shaped cluster must be removed");
     for rec in &recs[removal..] {
         assert!(

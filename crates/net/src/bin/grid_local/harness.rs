@@ -5,13 +5,14 @@
 //! three scripted ones — is a script on top of [`LocalGrid`].
 
 use crate::{Checks, Failure};
+use sagrid_adapt::DecisionLogEntry;
 use sagrid_core::ids::ClusterId;
 use sagrid_core::json::parse_json;
 use sagrid_core::metrics::{MetricEvent, Value};
 use sagrid_net::conn::{Connection, NetEvent};
 use sagrid_net::wire::Message;
 use sagrid_scenario::{check_jsonl, InvariantConfig};
-use sagrid_simgrid::provenance::{reconstruct_decision, DecisionProvenance};
+use sagrid_simgrid::provenance::reconstruct_decision;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -566,8 +567,9 @@ impl LocalGrid {
     }
 
     /// Every decision the coordinator emitted, reconstructed offline
-    /// through `simgrid::provenance` like an in-process run's.
-    pub fn decisions(&self) -> Result<Vec<DecisionProvenance>, Failure> {
+    /// through `simgrid::provenance` into the coordinator's own log
+    /// entries, like an in-process run's.
+    pub fn decisions(&self) -> Result<Vec<DecisionLogEntry>, Failure> {
         let (path, text) = self.coordinator_stream()?;
         let mut decisions = Vec::new();
         for (i, line) in text.lines().enumerate() {

@@ -3,6 +3,7 @@
 
 use crate::harness::{injection_record, HubGeometry, LocalGrid, WorkerArgs, WorkerSpec};
 use crate::{Checks, Failure};
+use sagrid_adapt::Decision;
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_net::wire::Message;
 use sagrid_scenario::ScenarioSpec;
@@ -289,14 +290,15 @@ pub fn run(sa: ScenarioArgs) -> Result<Checks, Failure> {
         checks.assert(covered, &what);
     }
     let removal = counted_load_at.and_then(|at| {
-        decisions
-            .iter()
-            .find(|d| d.kind == "remove-nodes" && d.at.0 >= at)
+        decisions.iter().find_map(|d| match &d.decision {
+            Decision::RemoveNodes { nodes } if d.at.0 >= at => Some((d, nodes)),
+            _ => None,
+        })
     });
-    if let Some(d) = removal {
+    if let Some((d, removed)) = removal {
         let slowed = grid.marks(|m| m.slowed.clone());
         checks.assert(
-            slowed.iter().all(|n| d.removed.contains(&NodeId(*n))),
+            slowed.iter().all(|n| removed.contains(&NodeId(*n))),
             &format!(
                 "badness ranking removed the slow worker (remove-nodes decision) ({slowed:?})"
             ),

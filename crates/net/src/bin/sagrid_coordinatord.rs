@@ -26,7 +26,6 @@ use sagrid_net::{Args, Backoff, HubSet};
 use sagrid_simgrid::provenance::{decision_event, reconstruct_decision};
 use std::fs::File;
 use std::io::Write;
-use std::net::TcpStream;
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
@@ -36,7 +35,7 @@ fn run() -> Result<(), String> {
         &["hub", "period-ms", "warmup-ms", "out"],
     )?;
     // Like the worker's, `--hub` takes a comma-separated failover list.
-    let hubs = HubSet::parse(&args.require::<String>("hub")?)?;
+    let mut hubs = HubSet::parse(&args.require::<String>("hub")?)?;
     let period = Duration::from_millis(args.get_or("period-ms", 600u64)?);
     let warmup = Duration::from_millis(args.get_or("warmup-ms", 0u64)?);
     let mut out = match args.get("out") {
@@ -65,35 +64,19 @@ fn run() -> Result<(), String> {
         0xc00d,
     );
     let mut next_conn = 0u64;
-    let mut hubs_dial = hubs.clone();
     let mut dial = |next_conn: &mut u64, backoff: &mut Backoff| -> Result<Connection, String> {
         // A standby answers the dial but stays silent (it closes new
         // connections until it wins an election); the Closed event then
         // drives another dial, which rotates onward. Only dials that fail
         // outright burn backoff attempts.
-        loop {
-            match TcpStream::connect(hubs_dial.current()) {
-                Ok(s) => {
-                    backoff.reset();
-                    *next_conn += 1;
-                    let conn = Connection::spawn(*next_conn, s, events_tx.clone())
-                        .map_err(|e| format!("connection setup: {e}"))?;
-                    conn.send(Message::CoordinatorHello);
-                    hubs_dial.advance();
-                    return Ok(conn);
-                }
-                Err(e) => {
-                    if backoff.attempts() >= 12 * hubs_dial.len() as u32 {
-                        return Err(format!(
-                            "cannot reach any hub of {:?}: {e}",
-                            hubs_dial.addrs()
-                        ));
-                    }
-                    hubs_dial.advance();
-                    std::thread::sleep(backoff.next_delay());
-                }
-            }
-        }
+        let s = hubs.dial(backoff)?;
+        backoff.reset();
+        *next_conn += 1;
+        let conn = Connection::spawn(*next_conn, s, events_tx.clone())
+            .map_err(|e| format!("connection setup: {e}"))?;
+        conn.send(Message::CoordinatorHello);
+        hubs.advance();
+        Ok(conn)
     };
     let mut conn = dial(&mut next_conn, &mut backoff)?;
     println!("COORDINATOR_UP");
@@ -221,15 +204,15 @@ fn run() -> Result<(), String> {
                 }
             }
             // Emit the decision's provenance event, exactly as the
-            // in-process engines do, and self-verify that it round-trips
-            // through the provenance parser back to its log entry.
+            // in-process engines do, and self-verify that it parses back
+            // `==` its log entry.
             let entry = coordinator.last_decision().expect("evaluate logs");
             // The hub epoch distinguishes pre- from post-failover
             // decisions; reconstruction ignores unknown fields.
             let event = decision_event(entry).with("hub_epoch", Value::U64(hub_epoch));
             let json = parse_json(&event.to_json())
                 .map_err(|e| format!("emitted decision does not re-parse: {e}"))?;
-            if !reconstruct_decision(&json)?.matches(entry) {
+            if reconstruct_decision(&json)? != *entry {
                 return Err(format!(
                     "provenance mismatch at t={:?}: {:?}",
                     entry.at, entry.decision

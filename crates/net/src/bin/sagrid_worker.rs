@@ -28,36 +28,15 @@ use sagrid_net::wire::Message;
 use sagrid_net::{Args, Backoff, HubSet};
 use sagrid_runtime::{Runtime, RuntimeConfig};
 use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const MAX_CONNECT_ATTEMPTS: u32 = 12;
-
 /// How long an exported job may sit with a thief before the root assumes
 /// the thief died and re-pends it.
 const RECLAIM_AFTER: Duration = Duration::from_secs(5);
-
-fn connect(hubs: &mut HubSet, backoff: &mut Backoff) -> Result<TcpStream, String> {
-    // The attempt budget scales with the hub list: during a failover the
-    // dead primary burns one failed dial per rotation, and the standby
-    // needs a full heartbeat-timeout of silence before it takes over.
-    let budget = MAX_CONNECT_ATTEMPTS * hubs.len() as u32;
-    loop {
-        match TcpStream::connect(hubs.current()) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                if backoff.attempts() >= budget {
-                    return Err(format!("cannot reach any hub of {:?}: {e}", hubs.addrs()));
-                }
-                hubs.advance();
-                std::thread::sleep(backoff.next_delay());
-            }
-        }
-    }
-}
 
 /// Dials through the hub list, joins (fresh or claiming a specific node
 /// id) and waits for the verdict. Returns the connection and the granted
@@ -81,7 +60,7 @@ fn join(
 ) -> Result<(Connection, NodeId), String> {
     let mut soft_refusals = 0u32;
     loop {
-        let stream = connect(hubs, backoff)?;
+        let stream = hubs.dial(backoff)?;
         *next_conn += 1;
         match Connection::spawn(*next_conn, stream, events.clone()) {
             Ok(conn) => match verdict(&conn, cluster, claim, inbox)? {
@@ -102,7 +81,7 @@ fn join(
             Err(e) => println!("JOIN_SETUP_FAILED {e}"),
         }
         soft_refusals += 1;
-        if soft_refusals > MAX_CONNECT_ATTEMPTS * hubs.len() as u32 {
+        if soft_refusals > HubSet::DIAL_ATTEMPTS_PER_HUB * hubs.len() as u32 {
             return Err("no hub accepted the join (all standby or closing)".to_string());
         }
         hubs.advance();

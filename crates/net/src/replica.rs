@@ -26,9 +26,9 @@
 //! very address workers were already dialling.
 //!
 //! On primary death every standby runs the same deterministic election —
-//! lowest replica id over the replicated standby set, delegated to the
-//! already-tested [`sagrid_registry::Membership::elect_coordinator`] — so
-//! all survivors agree on the winner without exchanging a single message.
+//! lowest replica id over the replicated standby set ([`elect_primary`]) —
+//! so all survivors agree on the winner without exchanging a single
+//! message.
 //! The winner bumps the hub epoch (fencing any stale primary that limps
 //! back) and serves; losers re-attach to the winner's advertised address.
 
@@ -36,13 +36,11 @@ use crate::backoff::Backoff;
 use crate::reactor::{Outbox, Reactor, ReactorEvent, Token};
 use crate::replog::ControlState;
 use crate::wire::Message;
-use sagrid_core::ids::{ClusterId, NodeId};
+use sagrid_core::ids::NodeId;
 use sagrid_core::metrics::{Counter, MetricEvent, Metrics, Value};
-use sagrid_core::time::SimTime;
-use sagrid_registry::{Membership, RegistryConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -94,20 +92,39 @@ impl HubSet {
     pub fn is_empty(&self) -> bool {
         self.addrs.is_empty()
     }
+
+    /// Failed dials allowed per address before [`HubSet::dial`] gives up.
+    pub const DIAL_ATTEMPTS_PER_HUB: u32 = 12;
+
+    /// Dials the current address, rotating to the next one after every
+    /// refused dial and sleeping `backoff`'s delay in between. Gives up
+    /// once `backoff` has counted [`HubSet::DIAL_ATTEMPTS_PER_HUB`] per
+    /// address: during a failover the dead primary burns one failed dial
+    /// per rotation, and a standby needs a full heartbeat-timeout of
+    /// silence before it takes over. A successful dial leaves both the
+    /// rotation and `backoff` to the caller.
+    pub fn dial(&mut self, backoff: &mut Backoff) -> Result<TcpStream, String> {
+        let budget = Self::DIAL_ATTEMPTS_PER_HUB * self.len() as u32;
+        loop {
+            match TcpStream::connect(self.current()) {
+                Ok(s) => return Ok(s),
+                Err(e) if backoff.attempts() >= budget => {
+                    return Err(format!("cannot reach any hub of {:?}: {e}", self.addrs));
+                }
+                Err(_) => {
+                    self.advance();
+                    std::thread::sleep(backoff.next_delay());
+                }
+            }
+        }
+    }
 }
 
-/// Deterministic primary election over a standby set: lowest replica id,
-/// via the registry's tested coordinator election (each standby id joins a
-/// throwaway [`Membership`] and [`Membership::elect_coordinator`] picks).
-/// Every survivor computes the same winner from the same replicated set —
-/// no messages are exchanged.
+/// Deterministic primary election over a standby set: the lowest replica
+/// id. Every survivor computes the same winner from the same replicated
+/// set — no messages are exchanged.
 pub fn elect_primary(standbys: &BTreeSet<u32>) -> Option<u32> {
-    let mut m = Membership::new(RegistryConfig::default());
-    for &r in standbys {
-        m.join(SimTime(0), NodeId(r), ClusterId(0));
-    }
-    let _ = m.take_events();
-    m.elect_coordinator().map(|n| n.0)
+    standbys.first().copied()
 }
 
 /// Standby-side configuration.
@@ -472,6 +489,7 @@ pub fn run_standby(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sagrid_core::ids::ClusterId;
 
     #[test]
     fn election_is_deterministic_lowest_id() {

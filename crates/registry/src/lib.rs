@@ -8,13 +8,10 @@
 //! * **fault detection** — a heartbeat-timeout failure detector (in
 //!   addition to the fault detection the communication channels provide);
 //! * **signals** — the coordinator uses the registry to tell processes to
-//!   leave the computation;
-//! * **coordinator election** — the paper's registry is a centralized
-//!   server; we keep a deterministic lowest-id election for the tests that
-//!   exercise coordinator failover.
+//!   leave the computation.
 //!
-//! The implementation is a pure state machine driven by timestamps, so the
-//! discrete-event engine and the threaded runtime can both embed it.
+//! The implementation is a pure state machine driven by timestamps; the
+//! process-mode hub embeds it as its failure detector.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -278,11 +278,6 @@ impl Membership {
             .filter_map(|(id, c)| (c == cluster).then_some(id))
             .collect()
     }
-
-    /// Deterministic election: the lowest-id alive member.
-    pub fn elect_coordinator(&self) -> Option<NodeId> {
-        self.alive().map(|(id, _)| id).next()
-    }
 }
 
 #[cfg(test)]
@@ -466,21 +461,6 @@ mod tests {
         let c0 = r.alive_in_cluster(ClusterId(0));
         assert_eq!(c0, vec![NodeId(2), NodeId(4)]);
         assert_eq!(r.alive_in_cluster(ClusterId(1)).len(), 3);
-    }
-
-    #[test]
-    fn election_is_lowest_alive_id_and_fails_over() {
-        let mut r = reg();
-        r.join(SimTime::ZERO, NodeId(3), ClusterId(0));
-        r.join(SimTime::ZERO, NodeId(5), ClusterId(0));
-        r.join(SimTime::ZERO, NodeId(9), ClusterId(1));
-        assert_eq!(r.elect_coordinator(), Some(NodeId(3)));
-        r.report_crash(NodeId(3));
-        assert_eq!(r.elect_coordinator(), Some(NodeId(5)));
-        r.leave(NodeId(5));
-        assert_eq!(r.elect_coordinator(), Some(NodeId(9)));
-        r.report_crash(NodeId(9));
-        assert_eq!(r.elect_coordinator(), None);
     }
 
     #[test]

@@ -434,14 +434,15 @@ mod tests {
     fn benchmark_reflects_speed_knob() {
         let _cpu = crate::CPU_TIMING.lock().unwrap_or_else(|e| e.into_inner());
         let rt = Runtime::new(RuntimeConfig::single_cluster(2));
-        // The fastest of three runs, so one run slowed by a busy machine
-        // cannot inflate the baseline.
-        let fast = (0..3)
-            .map(|_| rt.benchmark_worker(0).expect("fast benchmark"))
-            .min()
-            .expect("three runs");
         rt.set_worker_speed(1, 0.25);
-        let slow = rt.benchmark_worker(1).expect("slow benchmark");
+        // The fastest of three alternating runs on each side: tests that
+        // do not hold `CPU_TIMING` load both sides alike, and one run
+        // slowed by a busy machine cannot decide either side.
+        let (mut fast, mut slow) = (Duration::MAX, Duration::MAX);
+        for _ in 0..3 {
+            fast = fast.min(rt.benchmark_worker(0).expect("fast benchmark"));
+            slow = slow.min(rt.benchmark_worker(1).expect("slow benchmark"));
+        }
         assert!(
             slow > fast.mul_f64(2.0),
             "slow worker ({slow:?}) should take ≥2x the fast one ({fast:?})"

@@ -11,7 +11,8 @@
 //! 2. **Blacklist permanence** — blacklists only grow, and no blacklisted
 //!    node (or node of a blacklisted cluster) ever joins again.
 //! 3. **Provenance completeness** — every `decision` line reconstructs
-//!    losslessly, and every pool change is justified: a join traces to an
+//!    into a decision log entry (a known kind with every field it needs),
+//!    and every pool change is justified: a join traces to an
 //!    add decision / grow injection exactly one join-delay earlier (or is
 //!    part of the initial t = 0 wave), a leave follows some removal
 //!    decision or shrink injection, a crash coincides with a crash

@@ -1,7 +1,7 @@
 //! The discrete-event grid engine.
 //!
-//! Wires together the event kernel, the network model, the registry, the
-//! resource pool and the adaptation coordinator, and executes an iterative
+//! Wires together the event kernel, the network model, the resource pool
+//! and the adaptation coordinator, and executes an iterative
 //! divide-and-conquer workload with cluster-aware random work stealing.
 //!
 //! The engine is the DES twin of the threaded `sagrid-runtime`: the steal
@@ -24,7 +24,6 @@ use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
 use sagrid_core::stats::OverheadBreakdown;
 use sagrid_core::time::{SimDuration, SimTime};
 use sagrid_core::workload::TaskTree;
-use sagrid_registry::{Membership, RegistryConfig};
 use sagrid_sched::{AllocPolicy, NodeGrant, Requirements, ResourcePool};
 use sagrid_simnet::{EventQueue, Injection, Network};
 use std::collections::BTreeSet;
@@ -243,7 +242,6 @@ pub struct GridSim {
     queue: EventQueue<Event>,
     network: Network,
     pool: ResourcePool,
-    registry: Membership,
     coordinator: Coord,
     bandwidth: BandwidthEstimator,
     rng: Xoshiro256StarStar,
@@ -336,7 +334,6 @@ impl GridSim {
         Ok(Self {
             network,
             pool,
-            registry: Membership::new(RegistryConfig::default()),
             coordinator,
             bandwidth: BandwidthEstimator::default(),
             rng,
@@ -598,7 +595,6 @@ impl GridSim {
             "node {id} activated while still alive"
         );
         self.alive.insert(id, cluster);
-        self.registry.join(now, id, cluster);
         self.record_node_count(now);
         if let Some(em) = &self.em {
             em.joins.inc();
@@ -1096,7 +1092,6 @@ impl GridSim {
         let cluster = self.node(id).cluster;
         self.node_mut(id).transition(now, NodeActivity::Gone);
         self.alive.remove(id, cluster);
-        self.registry.leave(id);
         self.pool.release(id);
         self.coordinator.node_gone(id);
         self.record_node_count(now);
@@ -1163,7 +1158,6 @@ impl GridSim {
             n.transition(now, NodeActivity::Gone);
         }
         self.alive.remove(id, cluster);
-        self.registry.report_crash(id);
         self.pool.mark_lost(id);
         self.record_node_count(now);
         if let Some(em) = &self.em {
@@ -1375,7 +1369,6 @@ impl GridSim {
         ids.extend(self.alive.iter());
         let mut raw = Vec::with_capacity(ids.len());
         for &id in &ids {
-            self.registry.heartbeat(now, id);
             let n = self.node_mut(id);
             n.flush_stats(now);
             // The coordinator scales the speed once every benchmark is in.
@@ -1414,7 +1407,6 @@ impl GridSim {
                 self.coordinator.observe_uplink(c, bw);
             }
         }
-        let _ = self.registry.detect_failures(now);
         let eff = self.coordinator.main().current_wa_efficiency();
         self.efficiency_timeline.push((now, eff));
 
@@ -1534,13 +1526,10 @@ impl GridSim {
     }
 
     fn signal_leave(&mut self, now: SimTime, nodes: &[NodeId]) {
-        for &id in nodes {
-            self.registry.signal_leave(id);
-        }
-        // Deliver the registry's signals (the paper's coordinator uses the
+        // Signal each alive node once (the paper's coordinator uses the
         // Ibis registry's signal facility to notify nodes).
-        for id in self.registry.take_signals() {
-            if !self.alive.contains(id) {
+        for &id in nodes {
+            if !self.alive.contains(id) || self.node(id).leave_requested {
                 continue;
             }
             self.node_mut(id).leave_requested = true;
@@ -1884,17 +1873,24 @@ mod tests {
 
     /// The engine, not the coordinator, keeps the decision history: one
     /// entry per evaluation, in emission order, whichever coordinator
-    /// shape decides and whether or not metrics are on.
+    /// shape decides and whether or not metrics are on. Every entry
+    /// comes back `==` from its JSONL line, a swap's own speed floor
+    /// (which `learned` does not hold) included.
     #[test]
     fn run_result_holds_one_entry_per_decision_event() {
         use crate::provenance::reconstruct_decision;
         use sagrid_core::metrics::Metrics;
-        for hierarchical in [false, true] {
+        for (hierarchical, migration) in [(false, false), (true, false), (false, true)] {
             let mut cfg = base_config();
             cfg.mode = AdaptMode::Adapt;
             cfg.workload = quick_workload(20);
             cfg.policy.monitoring_period = SimDuration::from_secs(10);
             cfg.hierarchical_coordinator = hierarchical;
+            if migration {
+                // A free cluster twice as fast draws a swap.
+                cfg.policy.opportunistic_migration = true;
+                cfg.grid.clusters[2].node_speed = 2.0;
+            }
             cfg.injections = InjectionSchedule::new(vec![sagrid_simnet::ScheduledInjection {
                 at: SimTime::from_secs(5),
                 injection: Injection::CrashCluster {
@@ -1908,8 +1904,13 @@ mod tests {
             let events: Vec<_> = report.events_of_kind("decision").collect();
             assert_eq!(events.len(), r.decisions.len());
             for (event, entry) in events.iter().zip(&r.decisions) {
-                assert!(reconstruct_decision(event).unwrap().matches(entry));
+                assert_eq!(reconstruct_decision(event).unwrap(), *entry);
             }
+            let swapped = r
+                .decisions
+                .iter()
+                .any(|d| matches!(d.decision, Decision::OpportunisticSwap { .. }));
+            assert_eq!(swapped, migration);
             assert_eq!(GridSim::run(cfg).decisions, r.decisions);
         }
     }

@@ -8,8 +8,8 @@
 //! stealing** over the [`sagrid_simnet`] network model; the nodes report
 //! statistics to the *same* [`sagrid_adapt::Coordinator`] the threaded
 //! runtime uses; node grants and releases flow through
-//! [`sagrid_sched::ResourcePool`], and membership through
-//! [`sagrid_registry::Membership`].
+//! [`sagrid_sched::ResourcePool`], and the engine keeps membership itself
+//! (its per-cluster alive set and each node's leave signal).
 //!
 //! The engine runs the paper's six evaluation scenarios (CPU overload,
 //! shaped uplinks, cluster crashes, …) deterministically, at full 36–64-node

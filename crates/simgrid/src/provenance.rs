@@ -4,9 +4,9 @@
 //! blacklist state after the decision and the learned requirements.
 //!
 //! The inverse direction, [`reconstruct_decision`], parses one emitted
-//! JSONL line back into a [`DecisionProvenance`]; a regression test
-//! asserts that a whole scenario-5 decision log is reconstructible from
-//! the JSONL stream alone.
+//! JSONL line back into the coordinator's own [`DecisionLogEntry`]; a
+//! regression test asserts that a whole scenario-5 decision log comes
+//! back `==` from the JSONL stream alone.
 
 use sagrid_adapt::coordinator::LearnedRequirements;
 use sagrid_adapt::{Decision, DecisionLogEntry, NodeBadnessRecord};
@@ -24,11 +24,16 @@ pub fn decision_event(entry: &DecisionLogEntry) -> MetricEvent {
         .with("reports", Value::U64(entry.nodes as u64));
     match &entry.decision {
         Decision::None => {}
-        Decision::Add { count, prefer, .. } => {
+        Decision::Add {
+            count,
+            requirements,
+            prefer,
+        } => {
             ev = ev.with("count", Value::U64(*count as u64)).with(
                 "prefer",
                 Value::Raw(u64_array(prefer.iter().map(|c| u64::from(c.0)))),
             );
+            ev = with_requirements(ev, requirements, &entry.learned);
         }
         Decision::RemoveNodes { nodes } => {
             ev = ev.with(
@@ -42,11 +47,16 @@ pub fn decision_event(entry: &DecisionLogEntry) -> MetricEvent {
                 Value::Raw(u64_array(nodes.iter().map(|n| u64::from(n.0)))),
             );
         }
-        Decision::OpportunisticSwap { remove, add, .. } => {
+        Decision::OpportunisticSwap {
+            remove,
+            add,
+            requirements,
+        } => {
             ev = ev.with("count", Value::U64(*add as u64)).with(
                 "remove",
                 Value::Raw(u64_array(remove.iter().map(|n| u64::from(n.0)))),
             );
+            ev = with_requirements(ev, requirements, &entry.learned);
         }
     }
     ev = ev
@@ -82,6 +92,35 @@ pub fn decision_event(entry: &DecisionLogEntry) -> MetricEvent {
     ev
 }
 
+/// Adds a decision's own requirements as a `requirements` object, but
+/// only where they differ from the learned ones (a swap's speed floor):
+/// every `Add` the coordinator makes carries `learned` itself, and its
+/// line stays as short as before.
+fn with_requirements(
+    ev: MetricEvent,
+    own: &LearnedRequirements,
+    learned: &LearnedRequirements,
+) -> MetricEvent {
+    if own == learned {
+        return ev;
+    }
+    let mut obj = String::from("{");
+    for (key, bound) in [
+        ("min_uplink_bps", own.min_uplink_bps),
+        ("min_speed", own.min_speed),
+    ] {
+        if let Some(bound) = bound {
+            if obj.len() > 1 {
+                obj.push(',');
+            }
+            let _ = write!(obj, "\"{key}\":");
+            write_f64(&mut obj, bound);
+        }
+    }
+    obj.push('}');
+    ev.with("requirements", Value::Raw(obj))
+}
+
 fn badness_array(records: &[NodeBadnessRecord]) -> String {
     let mut out = String::from("[");
     for (i, r) in records.iter().enumerate() {
@@ -104,202 +143,114 @@ fn badness_array(records: &[NodeBadnessRecord]) -> String {
     out
 }
 
-/// A decision reconstructed from one emitted JSONL line. Field-for-field
-/// comparable against the in-memory [`DecisionLogEntry`] it came from.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DecisionProvenance {
-    /// Evaluation time.
-    pub at: SimTime,
-    /// Weighted-average efficiency input.
-    pub wa_efficiency: f64,
-    /// Number of reports consumed.
-    pub reports: usize,
-    /// Decision kind tag (matches [`Decision::kind`]).
-    pub kind: String,
-    /// Nodes removed by the decision (empty for none/add).
-    pub removed: Vec<NodeId>,
-    /// The removed cluster, for `remove-cluster`.
-    pub cluster: Option<ClusterId>,
-    /// Requested node count, for `add`/`opportunistic-swap`.
-    pub count: Option<usize>,
-    /// Preferred clusters, for `add`.
-    pub prefer: Vec<ClusterId>,
-    /// Ranked badness terms.
-    pub badness: Vec<NodeBadnessRecord>,
-    /// Blacklisted nodes after the decision.
-    pub blacklisted_nodes: Vec<NodeId>,
-    /// Blacklisted clusters after the decision.
-    pub blacklisted_clusters: Vec<ClusterId>,
-    /// Learned requirements after the decision.
-    pub learned: LearnedRequirements,
-    /// Members Suspect at evaluation time (empty on streams that predate
-    /// suspicion tracking — the parser is lenient).
-    pub suspect_ids: Vec<NodeId>,
-    /// Hold-fire reason when a removal was withheld under suspicion.
-    pub hold_fire: Option<String>,
-}
-
-impl DecisionProvenance {
-    /// Whether this reconstruction agrees with `entry` on every recorded
-    /// field. Float comparisons are exact: the JSON encoder uses Rust's
-    /// shortest-roundtrip formatting, so serialise→parse is lossless.
-    pub fn matches(&self, entry: &DecisionLogEntry) -> bool {
-        let decision_fields_match = match &entry.decision {
-            Decision::None => self.removed.is_empty() && self.cluster.is_none(),
-            Decision::Add { count, prefer, .. } => {
-                self.count == Some(*count) && self.prefer == *prefer
-            }
-            Decision::RemoveNodes { nodes } => self.removed == *nodes,
-            Decision::RemoveCluster { cluster, nodes } => {
-                self.cluster == Some(*cluster) && self.removed == *nodes
-            }
-            Decision::OpportunisticSwap { remove, add, .. } => {
-                self.removed == *remove && self.count == Some(*add)
-            }
-        };
-        self.at == entry.at
-            && self.wa_efficiency == entry.wa_efficiency
-            && self.reports == entry.nodes
-            && self.kind == entry.decision.kind()
-            && decision_fields_match
-            && self.badness == entry.badness
-            && self.blacklisted_nodes == entry.blacklisted_nodes
-            && self.blacklisted_clusters == entry.blacklisted_clusters
-            && self.learned == entry.learned
-            && self.suspect_ids == entry.suspect_ids
-            && self.hold_fire == entry.hold_fire
-    }
-}
-
-/// Parses one JSONL `"decision"` event back into its provenance record.
-pub fn reconstruct_decision(line: &JsonValue) -> Result<DecisionProvenance, String> {
+/// Parses one JSONL `"decision"` event back into the coordinator's own
+/// log entry, so a round trip is checked with `==`. An unknown decision
+/// kind, or a field its variant needs, missing, is an error.
+pub fn reconstruct_decision(line: &JsonValue) -> Result<DecisionLogEntry, String> {
     if line.get("kind").and_then(JsonValue::as_str) != Some("decision") {
         return Err("not a decision event".to_string());
     }
-    let at = SimTime(
-        line.get("at_us")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing at_us")?,
-    );
-    let wa_efficiency = line
-        .get("wa_eff")
-        .and_then(JsonValue::as_f64)
-        .ok_or("missing wa_eff")?;
-    let reports = line
-        .get("reports")
-        .and_then(JsonValue::as_u64)
-        .ok_or("missing reports")? as usize;
-    let kind = line
-        .get("decision")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing decision kind")?
-        .to_string();
-    let removed = node_list(line.get("remove"))?;
-    let cluster = line
-        .get("cluster")
-        .and_then(JsonValue::as_u64)
-        .map(|c| ClusterId(c as u16));
-    let count = line
-        .get("count")
-        .and_then(JsonValue::as_u64)
-        .map(|c| c as usize);
-    let prefer = cluster_list(line.get("prefer"))?;
-    let badness = line
-        .get("badness")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing badness")?
-        .iter()
-        .map(badness_record)
-        .collect::<Result<Vec<_>, _>>()?;
-    let blacklisted_nodes = node_list(line.get("blacklist_nodes"))?;
-    let blacklisted_clusters = cluster_list(line.get("blacklist_clusters"))?;
-    let learned = LearnedRequirements {
-        min_uplink_bps: line.get("min_uplink_bps").and_then(JsonValue::as_f64),
-        min_speed: line.get("min_speed").and_then(JsonValue::as_f64),
+    let learned = requirements(line);
+    // A decision's own requirements are on the line only where they
+    // differ from the learned ones.
+    let own = || line.get("requirements").map_or(learned, requirements);
+    let count = || field(line, "count", JsonValue::as_u64).map(|c| c as usize);
+    let removed = || ids(Some(field(line, "remove", Some)?), |n| NodeId(n as u32));
+    let decision = match field(line, "decision", JsonValue::as_str)? {
+        "none" => Decision::None,
+        "add" => Decision::Add {
+            count: count()?,
+            requirements: own(),
+            prefer: ids(Some(field(line, "prefer", Some)?), |c| ClusterId(c as u16))?,
+        },
+        "remove-nodes" => Decision::RemoveNodes { nodes: removed()? },
+        "remove-cluster" => Decision::RemoveCluster {
+            cluster: ClusterId(field(line, "cluster", JsonValue::as_u64)? as u16),
+            nodes: removed()?,
+        },
+        "opportunistic-swap" => Decision::OpportunisticSwap {
+            remove: removed()?,
+            add: count()?,
+            requirements: own(),
+        },
+        other => return Err(format!("unknown decision kind {other:?}")),
     };
-    // Lenient: streams recorded before suspicion tracking simply have no
-    // suspects field and reconstruct with an empty snapshot.
-    let suspect_ids = node_list(line.get("suspects"))?;
-    let hold_fire = line
-        .get("hold_fire")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string);
-    Ok(DecisionProvenance {
-        at,
-        wa_efficiency,
-        reports,
-        kind,
-        removed,
-        cluster,
-        count,
-        prefer,
-        badness,
-        blacklisted_nodes,
-        blacklisted_clusters,
+    Ok(DecisionLogEntry {
+        at: SimTime(field(line, "at_us", JsonValue::as_u64)?),
+        wa_efficiency: field(line, "wa_eff", JsonValue::as_f64)?,
+        nodes: field(line, "reports", JsonValue::as_u64)? as usize,
+        decision,
+        badness: field(line, "badness", JsonValue::as_arr)?
+            .iter()
+            .map(badness_record)
+            .collect::<Result<_, _>>()?,
+        blacklisted_nodes: ids(line.get("blacklist_nodes"), |n| NodeId(n as u32))?,
+        blacklisted_clusters: ids(line.get("blacklist_clusters"), |c| ClusterId(c as u16))?,
         learned,
-        suspect_ids,
-        hold_fire,
+        // Lenient: streams recorded before suspicion tracking simply have
+        // no suspects field and reconstruct with an empty snapshot.
+        suspect_ids: ids(line.get("suspects"), |n| NodeId(n as u32))?,
+        hold_fire: line
+            .get("hold_fire")
+            .and_then(JsonValue::as_str)
+            .map(str::to_string),
     })
 }
 
-fn node_list(v: Option<&JsonValue>) -> Result<Vec<NodeId>, String> {
+/// The requirement keys of `v` (a decision line or its `requirements`
+/// object); an absent key is no bound.
+fn requirements(v: &JsonValue) -> LearnedRequirements {
+    LearnedRequirements {
+        min_uplink_bps: v.get("min_uplink_bps").and_then(JsonValue::as_f64),
+        min_speed: v.get("min_speed").and_then(JsonValue::as_f64),
+    }
+}
+
+/// `v[key]` read through `read`, or an error naming the key.
+fn field<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    read: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(read)
+        .ok_or_else(|| format!("missing or bad {key}"))
+}
+
+/// An array of ids; an absent key reads as empty.
+fn ids<T>(v: Option<&JsonValue>, id: impl Fn(u64) -> T) -> Result<Vec<T>, String> {
     let Some(v) = v else {
         return Ok(Vec::new());
     };
     v.as_arr()
-        .ok_or("expected array of node ids".to_string())?
+        .ok_or("expected an array of ids")?
         .iter()
-        .map(|x| {
-            x.as_u64()
-                .map(|n| NodeId(n as u32))
-                .ok_or("bad node id".to_string())
-        })
+        .map(|x| x.as_u64().map(&id).ok_or_else(|| "bad id".to_string()))
         .collect()
 }
 
-fn cluster_list(v: Option<&JsonValue>) -> Result<Vec<ClusterId>, String> {
-    let Some(v) = v else {
-        return Ok(Vec::new());
+fn badness_record(row: &JsonValue) -> Result<NodeBadnessRecord, String> {
+    let bad = |key: &str| format!("bad badness.{key}");
+    let id = |key: &str| {
+        row.get(key)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| bad(key))
     };
-    v.as_arr()
-        .ok_or("expected array of cluster ids".to_string())?
-        .iter()
-        .map(|x| {
-            x.as_u64()
-                .map(|c| ClusterId(c as u16))
-                .ok_or("bad cluster id".to_string())
-        })
-        .collect()
-}
-
-fn badness_record(v: &JsonValue) -> Result<NodeBadnessRecord, String> {
+    let num = |key: &str| {
+        row.get(key)
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| bad(key))
+    };
     Ok(NodeBadnessRecord {
-        node: NodeId(
-            v.get("node")
-                .and_then(JsonValue::as_u64)
-                .ok_or("bad badness.node")? as u32,
-        ),
-        cluster: ClusterId(
-            v.get("cluster")
-                .and_then(JsonValue::as_u64)
-                .ok_or("bad badness.cluster")? as u16,
-        ),
-        speed: v
-            .get("speed")
-            .and_then(JsonValue::as_f64)
-            .ok_or("bad badness.speed")?,
-        ic_overhead: v
-            .get("ic")
-            .and_then(JsonValue::as_f64)
-            .ok_or("bad badness.ic")?,
-        in_worst_cluster: v
+        node: NodeId(id("node")? as u32),
+        cluster: ClusterId(id("cluster")? as u16),
+        speed: num("speed")?,
+        ic_overhead: num("ic")?,
+        in_worst_cluster: row
             .get("worst")
             .and_then(JsonValue::as_bool)
-            .ok_or("bad badness.worst")?,
-        badness: v
-            .get("badness")
-            .and_then(JsonValue::as_f64)
-            .ok_or("bad badness.badness")?,
+            .ok_or_else(|| bad("worst"))?,
+        badness: num("badness")?,
     })
 }
 
@@ -343,20 +294,32 @@ mod tests {
         }
     }
 
-    fn round_trip(e: &DecisionLogEntry) -> DecisionProvenance {
-        let json = decision_event(e).to_json();
-        let parsed = parse_json(&json).expect("event serialises to valid JSON");
-        reconstruct_decision(&parsed).expect("decision reconstructs")
+    fn line(e: &DecisionLogEntry) -> JsonValue {
+        parse_json(&decision_event(e).to_json()).expect("event serialises to valid JSON")
+    }
+
+    fn round_trip(e: &DecisionLogEntry) -> DecisionLogEntry {
+        reconstruct_decision(&line(e)).expect("decision reconstructs")
     }
 
     #[test]
     fn every_decision_variant_round_trips_losslessly() {
+        let learned = entry(Decision::None).learned;
         let variants = vec![
             Decision::None,
+            // Requirements that differ from `learned` (a hand-built
+            // fixture) ride on the line ...
             Decision::Add {
                 count: 4,
                 requirements: LearnedRequirements::default(),
                 prefer: vec![ClusterId(0), ClusterId(2)],
+            },
+            // ... and the coordinator's own `Add`, which carries
+            // `learned`, reads them back from there.
+            Decision::Add {
+                count: 1,
+                requirements: learned,
+                prefer: vec![],
             },
             Decision::RemoveNodes {
                 nodes: vec![NodeId(7), NodeId(3)],
@@ -368,13 +331,25 @@ mod tests {
             Decision::OpportunisticSwap {
                 remove: vec![NodeId(2)],
                 add: 1,
-                requirements: LearnedRequirements::default(),
+                requirements: LearnedRequirements {
+                    min_speed: Some(1.2),
+                    ..learned
+                },
             },
         ];
         for d in variants {
             let e = entry(d);
-            let rec = round_trip(&e);
-            assert!(rec.matches(&e), "mismatch for {:?}: {rec:?}", e.decision);
+            assert_eq!(round_trip(&e), e);
+            let own = match &e.decision {
+                Decision::Add { requirements, .. }
+                | Decision::OpportunisticSwap { requirements, .. } => Some(*requirements),
+                _ => None,
+            };
+            assert_eq!(
+                line(&e).get("requirements").is_some(),
+                own.is_some_and(|r| r != learned),
+                "requirements are written only where they differ from learned"
+            );
         }
     }
 
@@ -383,10 +358,7 @@ mod tests {
         // A withheld decision carries its suspicion snapshot and reason.
         let mut e = entry(Decision::None);
         e.hold_fire = Some("withheld remove-nodes: 2 member(s) suspect".to_string());
-        let rec = round_trip(&e);
-        assert!(rec.matches(&e));
-        assert_eq!(rec.suspect_ids, vec![NodeId(11), NodeId(13)]);
-        assert!(rec.hold_fire.is_some());
+        assert_eq!(round_trip(&e), e);
         // A pre-suspicion stream (no suspects / hold_fire fields) still
         // reconstructs, with an empty snapshot.
         let old = "{\"type\":\"event\",\"at_us\":1,\"kind\":\"decision\",\
@@ -398,15 +370,30 @@ mod tests {
         assert!(rec.hold_fire.is_none());
     }
 
+    /// The decision's fields come from the line: an edited line
+    /// reconstructs to a different entry, and one that lacks what its
+    /// kind needs, or names no known kind, does not reconstruct.
     #[test]
     fn mismatches_are_detected() {
-        let e = entry(Decision::RemoveNodes {
+        let e = entry(Decision::RemoveCluster {
+            cluster: ClusterId(1),
             nodes: vec![NodeId(7)],
         });
-        let mut rec = round_trip(&e);
-        assert!(rec.matches(&e));
-        rec.wa_efficiency += 1e-9;
-        assert!(!rec.matches(&e), "a perturbed field must not match");
+        let json = decision_event(&e).to_json();
+        let edited = json.replace("\"remove\":[7]", "\"remove\":[8]");
+        assert_ne!(edited, json);
+        let rec = reconstruct_decision(&parse_json(&edited).unwrap()).unwrap();
+        assert_ne!(rec, e, "an edited removal must not match");
+        for (from, to) in [
+            ("\"cluster\":1,", ""),
+            ("\"remove\":[7],", ""),
+            ("\"remove-cluster\"", "\"remove-site\""),
+        ] {
+            let broken = json.replacen(from, to, 1);
+            assert_ne!(broken, json);
+            let err = reconstruct_decision(&parse_json(&broken).unwrap());
+            assert!(err.is_err(), "{broken} must not reconstruct");
+        }
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! ([`Coordinator::record_benchmark`], §3.2), and forgets a departed node's
 //! benchmark with its report, so the node stops anchoring the survivors.
 //!
+//! The loop is decide → act → record. [`Coordinator::evaluate`] walks the
+//! reports once, in node order, and decides; only the removal branch ranks
+//! the nodes worst-first, because only it reads the ranking. The entry's
+//! worst-first badness ranking is provenance: it is built when the entry is
+//! first read through [`Coordinator::last_decision`], so a driver that acts
+//! on the decision before it reads the entry does not wait for the sort.
+//!
 //! The coordinator *learns* application requirements along the way: removed
 //! resources are blacklisted, and each removed badly-connected cluster
 //! tightens the lower bound on the bandwidth the application needs, which is
@@ -135,7 +142,7 @@ pub struct DecisionLogEntry {
     /// The decision taken.
     pub decision: Decision,
     /// Badness inputs per reporting node, ranked worst-first (the order
-    /// removal candidates were considered in). Empty when no reports.
+    /// removal candidates are considered in). Empty when no reports.
     pub badness: Vec<NodeBadnessRecord>,
     /// Blacklisted nodes after this decision (sorted).
     pub blacklisted_nodes: Vec<NodeId>,
@@ -184,9 +191,10 @@ pub struct DecisionLogEntry {
 #[derive(Clone, Debug)]
 pub struct Coordinator {
     policy: AdaptPolicy,
-    /// Latest report per live node. The paper: when the coordinator misses a
-    /// node's data at a period boundary it simply uses the previous report.
-    latest: BTreeMap<NodeId, MonitoringReport>,
+    /// Latest report per live node, sorted by node id. The paper: when the
+    /// coordinator misses a node's data at a period boundary it simply uses
+    /// the previous report.
+    latest: Vec<MonitoringReport>,
     blacklisted_nodes: BTreeSet<NodeId>,
     blacklisted_clusters: BTreeSet<ClusterId>,
     /// Engine-supplied observations of per-cluster uplink bandwidth
@@ -197,6 +205,10 @@ pub struct Coordinator {
     /// that need it (the engine's `RunResult`, the JSONL stream), so a
     /// long-lived coordinator's memory does not grow with run length.
     last: Option<DecisionLogEntry>,
+    /// Whether `last`'s badness records are ranked worst-first yet.
+    /// `evaluate` leaves them in node order unless its removal branch
+    /// ranked them; [`Self::last_decision`] ranks them on first read.
+    last_ranked: bool,
     /// Members whose liveness is currently unresolved: the failure
     /// detector has seen suspicious silence but has not yet promoted them
     /// to dead. Their stale reports must not poison the efficiency
@@ -219,12 +231,13 @@ impl Coordinator {
         policy.validate().expect("invalid adaptation policy");
         Self {
             policy,
-            latest: BTreeMap::new(),
+            latest: Vec::new(),
             blacklisted_nodes: BTreeSet::new(),
             blacklisted_clusters: BTreeSet::new(),
             uplink_observations: BTreeMap::new(),
             learned: LearnedRequirements::default(),
             last: None,
+            last_ranked: true,
             suspects: BTreeSet::new(),
             clusters: ClusterSums::default(),
             speeds: SpeedTracker::new(),
@@ -252,7 +265,10 @@ impl Coordinator {
             report.speed = speed;
         }
         self.suspects.remove(&report.node);
-        self.latest.insert(report.node, report);
+        match self.latest.binary_search_by_key(&report.node, |r| r.node) {
+            Ok(i) => self.latest[i] = report,
+            Err(i) => self.latest.insert(i, report),
+        }
     }
 
     /// Forgets a node that left or died.
@@ -260,10 +276,25 @@ impl Coordinator {
         self.forget(&[node]);
     }
 
-    /// Drops departed nodes' reports, benchmarks and suspicions.
+    /// Drops departed nodes' reports, benchmarks and suspicions. More than
+    /// one node goes in one pass over the reports. One node is found by
+    /// binary search, so a departure the coordinator already forgot (the
+    /// DES reports every removed node's leave) costs no pass.
     fn forget(&mut self, nodes: &[NodeId]) {
+        match nodes {
+            [] => {}
+            [node] => {
+                if let Ok(i) = self.latest.binary_search_by_key(node, |r| r.node) {
+                    self.latest.remove(i);
+                }
+            }
+            _ => {
+                let mut gone = nodes.to_vec();
+                gone.sort_unstable();
+                self.latest.retain(|r| gone.binary_search(&r.node).is_err());
+            }
+        }
         for &node in nodes {
-            self.latest.remove(&node);
             self.speeds.remove(node);
             self.suspects.remove(&node);
         }
@@ -312,9 +343,9 @@ impl Coordinator {
         self.latest.len()
     }
 
-    /// Iterates over the latest report per live node.
+    /// Iterates over the latest report per live node, in node order.
     pub fn latest_reports(&self) -> impl Iterator<Item = &MonitoringReport> {
-        self.latest.values()
+        self.latest.iter()
     }
 
     /// The learned application requirements so far.
@@ -333,9 +364,15 @@ impl Coordinator {
     }
 
     /// The entry of the latest [`Self::evaluate`]; every evaluation
-    /// replaces it.
-    pub fn last_decision(&self) -> Option<&DecisionLogEntry> {
-        self.last.as_ref()
+    /// replaces it. Its badness records are ranked worst-first here, on
+    /// the first read, unless the decision already ranked them.
+    pub fn last_decision(&mut self) -> Option<&DecisionLogEntry> {
+        let entry = self.last.as_mut()?;
+        if !self.last_ranked {
+            rank_worst_first(&mut entry.badness);
+            self.last_ranked = true;
+        }
+        Some(entry)
     }
 
     /// Weighted average efficiency over the currently known reports,
@@ -344,7 +381,7 @@ impl Coordinator {
     pub fn current_wa_efficiency(&self) -> f64 {
         wa_efficiency_of_reports(
             self.latest
-                .values()
+                .iter()
                 .filter(|r| !self.suspects.contains(&r.node)),
         )
     }
@@ -365,14 +402,17 @@ impl Coordinator {
         //
         // One walk over the alive reports, in node order, feeds the
         // efficiency sum, the per-cluster sums and the badness inputs.
-        // The badness records reuse the previous entry's buffer.
+        // The badness records reuse the previous entry's buffer and stay in
+        // node order: only the removal branch and the entry's reader rank
+        // them.
         let mut provenance = self.last.take().map(|e| e.badness).unwrap_or_default();
         provenance.clear();
+        self.last_ranked = false;
         self.clusters.clear();
         let (suspects, clusters) = (&self.suspects, &mut self.clusters);
         let wa_eff = wa_efficiency_of_reports(
             self.latest
-                .values()
+                .iter()
                 .filter(|r| !suspects.contains(&r.node))
                 .inspect(|r| {
                     let ic = r.ic_overhead_fraction();
@@ -399,15 +439,14 @@ impl Coordinator {
         }
         let clusters = self.clusters.finish();
         // Provenance: the badness terms of every reporting node at this
-        // instant, ranked worst-first — the exact inputs a removal decision
-        // considers, captured whether or not one is taken.
+        // instant — the exact inputs a removal decision considers, captured
+        // whether or not one is taken.
         let coeff = &self.policy.coefficients;
         let worst = worst_cluster(coeff, clusters);
         for b in &mut provenance {
             b.in_worst_cluster = Some(b.cluster) == worst;
             b.badness = node_badness(coeff, b.speed, b.ic_overhead, b.in_worst_cluster);
         }
-        provenance.sort_unstable_by(|a, b| worst_first(&(a.node, a.badness), &(b.node, b.badness)));
 
         // Step 1: exceptional inter-cluster overhead ⇒ the uplink bandwidth
         // to that cluster is insufficient; remove the whole cluster rather
@@ -428,12 +467,11 @@ impl Coordinator {
                 );
             }
             // Its reporting members, in node order.
-            let mut nodes: Vec<NodeId> = provenance
+            let nodes: Vec<NodeId> = provenance
                 .iter()
                 .filter(|b| b.cluster == cluster)
                 .map(|b| b.node)
                 .collect();
-            nodes.sort_unstable();
             if self.policy.blacklist_removed {
                 self.blacklisted_clusters.insert(cluster);
             }
@@ -490,6 +528,10 @@ impl Coordinator {
             if count == 0 {
                 return self.log_and_return(now, wa_eff, n, provenance, Decision::None, None);
             }
+            // The median, the outliers and the victims are read off the
+            // worst-first ranking; the entry keeps it.
+            rank_worst_first(&mut provenance);
+            self.last_ranked = true;
             let median = provenance[provenance.len() / 2].badness;
             let outliers = provenance
                 .iter()
@@ -613,6 +655,12 @@ impl Coordinator {
         });
         decision
     }
+}
+
+/// Ranks badness records worst-first (see [`worst_first`]): the order the
+/// removal branch picks victims in and the order every entry is read in.
+fn rank_worst_first(records: &mut [NodeBadnessRecord]) {
+    records.sort_unstable_by(|a, b| worst_first(&(a.node, a.badness), &(b.node, b.badness)));
 }
 
 /// The cluster whose ic overhead is exceptional: above
@@ -1173,6 +1221,63 @@ mod tests {
             "got {d:?}"
         );
         assert_forgotten(&mut c, (0, 0), (1, 0));
+    }
+
+    /// Forgetting 1,000 of 4,096 members in one call (the benchmark's wide
+    /// runs remove up to 978 in one decision) keeps the report table in
+    /// node order, drops the members' benchmarks and suspicions with their
+    /// reports, and leaves the efficiency sum bit-identical to one over a
+    /// node-keyed map.
+    #[test]
+    fn a_large_removal_keeps_the_table_in_node_order() {
+        use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
+        let mut rng = Xoshiro256StarStar::seeded(0x4096);
+        let mut c = coordinator();
+        let mut ids: Vec<u32> = (0..4_096).collect();
+        rng.shuffle(&mut ids);
+        let gone: Vec<NodeId> = ids[..1_000].iter().map(|&id| NodeId(id)).collect();
+        // The fastest benchmark belongs to a member that goes.
+        let mut bench: BTreeMap<NodeId, u64> = BTreeMap::new();
+        for &id in &ids {
+            bench.insert(NodeId(id), 10_000 + rng.gen_range(10_000));
+        }
+        bench.insert(gone[0], 1_000);
+        let mut arrivals = ids.clone();
+        rng.shuffle(&mut arrivals);
+        for &id in &arrivals {
+            c.record_benchmark(NodeId(id), SimDuration(bench[&NodeId(id)]));
+            let (busy, ic) = (0.1 + 0.8 * rng.gen_f64(), 0.1 * rng.gen_f64());
+            c.record_report(report(id, (id % 32) as u16, UNBENCHMARKED, busy, ic));
+        }
+        let mut model: BTreeMap<NodeId, MonitoringReport> =
+            c.latest_reports().map(|r| (r.node, *r)).collect();
+        assert_eq!(model.len(), 4_096);
+        // Half of the suspects go, half stay.
+        let suspects: Vec<NodeId> = ids[500..1_500].iter().map(|&id| NodeId(id)).collect();
+        c.mark_suspects(&suspects);
+
+        c.record_crashed(&gone, None);
+        for node in &gone {
+            model.remove(node);
+        }
+        let nodes: Vec<NodeId> = c.latest_reports().map(|r| r.node).collect();
+        assert!(nodes.windows(2).all(|w| w[0] < w[1]), "ascending");
+        assert_eq!(nodes, model.keys().copied().collect::<Vec<_>>());
+        let survivors: BTreeSet<NodeId> = suspects.iter().copied().skip(500).collect();
+        assert_eq!(
+            c.suspects(),
+            &survivors,
+            "the departed are no longer suspect"
+        );
+        let expected =
+            wa_efficiency_of_reports(model.values().filter(|r| !survivors.contains(&r.node)));
+        assert_eq!(c.current_wa_efficiency().to_bits(), expected.to_bits());
+
+        // The departed no longer anchor the speeds: the fastest survivor
+        // scales to 1.0, and a departed member's benchmark is gone.
+        let fastest = model.keys().min_by_key(|n| (bench[n], **n)).unwrap();
+        assert_eq!(speed_of_fresh_report(&mut c, fastest.0, 0), 1.0);
+        assert_eq!(speed_of_fresh_report(&mut c, gone[0].0, 0), UNBENCHMARKED);
     }
 
     #[test]

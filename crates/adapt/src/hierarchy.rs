@@ -18,7 +18,7 @@
 //! main coordinator receives `O(clusters)` messages per period instead of
 //! `O(nodes)`.
 
-use crate::coordinator::{Coordinator, Decision};
+use crate::coordinator::{Coordinator, Decision, DecisionLogEntry};
 use crate::policy::AdaptPolicy;
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::stats::{MonitoringReport, OverheadBreakdown};
@@ -245,6 +245,12 @@ impl HierarchicalCoordinator {
         &self.main
     }
 
+    /// The main coordinator's latest entry, ranked on first read (see
+    /// [`Coordinator::last_decision`]).
+    pub fn last_decision(&mut self) -> Option<&DecisionLogEntry> {
+        self.main.last_decision()
+    }
+
     /// Messages the main coordinator received (digests) versus the
     /// per-node messages it would have received in the flat design.
     pub fn message_counts(&self) -> (u64, u64) {
@@ -322,7 +328,7 @@ mod tests {
             e.badness.iter().map(|b| (b.node, b.speed)).collect()
         };
         let mut got = speeds(flat.last_decision().unwrap());
-        assert_eq!(got, speeds(hier.main().last_decision().unwrap()));
+        assert_eq!(got, speeds(hier.last_decision().unwrap()));
         got.sort_by_key(|&(n, _)| n);
         let sent: Vec<(NodeId, f64)> = reports.iter().map(|r| (r.node, r.speed)).collect();
         assert_eq!(got, sent);
@@ -379,7 +385,7 @@ mod tests {
         assert_eq!(flat.evaluate(t, None), hier.evaluate(t, None));
         assert_eq!(flat.evaluate(t, None), Decision::None);
         let fe = flat.last_decision().unwrap();
-        let he = hier.main().last_decision().unwrap();
+        let he = hier.last_decision().unwrap();
         assert!(fe.hold_fire.is_some() && he.hold_fire.is_some());
         assert_eq!(fe.suspect_ids, he.suspect_ids);
         // A fresh report entering at the hierarchy's edge clears the

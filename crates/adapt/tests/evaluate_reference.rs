@@ -7,7 +7,7 @@
 use sagrid_adapt::coordinator::{Decision, DecisionLogEntry, LearnedRequirements};
 use sagrid_adapt::{
     cluster_badness, node_badness, wa_efficiency_of_reports, AdaptPolicy, BadnessCoefficients,
-    Coordinator, NodeBadnessRecord,
+    Coordinator, HierarchicalCoordinator, NodeBadnessRecord,
 };
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
@@ -464,11 +464,14 @@ fn run_case(seed: u64, case: &Case) -> (usize, BTreeSet<&'static str>) {
                 let fastest = rng.gen_bool(0.6).then(|| 0.5 + rng.gen_f64());
                 let decision = real.evaluate(now, fastest);
                 let expected = reference.evaluate(now, fastest);
-                let got = real.last_decision().expect("evaluate logs an entry");
+                let got = real
+                    .last_decision()
+                    .expect("evaluate logs an entry")
+                    .clone();
                 assert_eq!(decision, got.decision, "seed {seed} step {step}");
-                assert_eq!(got, &expected, "seed {seed} step {step}");
+                assert_eq!(got, expected, "seed {seed} step {step}");
                 assert_eq!(
-                    float_bits(got),
+                    float_bits(&got),
                     float_bits(&expected),
                     "seed {seed} step {step}"
                 );
@@ -588,5 +591,193 @@ fn edge_cases_match_the_reference_algorithm() {
         // ranks first.
         assert!(ranked.windows(2).all(|w| w[0].badness > w[1].badness
             || (w[0].badness == w[1].badness && w[0].node > w[1].node)));
+    }
+}
+
+/// A report whose busy and ic fractions are multiples of 1/64: a
+/// hierarchy's digest rebuilds such a report bit for bit, so its main
+/// coordinator's entries can be held to the reference too.
+fn dyadic_report(
+    rng: &mut Xoshiro256StarStar,
+    node: u32,
+    clusters: u16,
+    phase: Phase,
+    now: SimTime,
+) -> MonitoringReport {
+    let cluster = ClusterId((node % u32::from(clusters)) as u16);
+    let busy = match phase {
+        Phase::Shrink => 6 + rng.gen_index(12),
+        Phase::Band => 22 + rng.gen_index(12),
+        Phase::Grow | Phase::BadLink => 44 + rng.gen_index(20),
+    } as u64;
+    let ic = match phase {
+        Phase::BadLink if cluster.0 == 0 => 16,
+        _ => rng.gen_index(3) as u64,
+    }
+    .min(64 - busy);
+    let speed = if rng.gen_bool(0.1) {
+        0.05 + 0.25 * rng.gen_f64()
+    } else {
+        0.6 + 0.4 * rng.gen_f64()
+    };
+    let unit = 1_000_000 / 64;
+    MonitoringReport {
+        node: NodeId(node),
+        cluster,
+        period_end: now,
+        breakdown: OverheadBreakdown {
+            busy: SimDuration(busy * unit),
+            inter_comm: SimDuration(ic * unit),
+            idle: SimDuration((64 - busy - ic) * unit),
+            ..Default::default()
+        },
+        speed,
+    }
+}
+
+/// Which branch of the flowchart the next reports lean toward.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    Shrink,
+    Band,
+    Grow,
+    /// Cluster 0's members spend a quarter of the period on the wide area.
+    BadLink,
+}
+
+/// `got` is the reference entry, floats bit for bit.
+fn assert_entry(got: Option<&DecisionLogEntry>, expected: &DecisionLogEntry, what: &str) {
+    let got = got.unwrap_or_else(|| panic!("{what}: no entry"));
+    assert_eq!(got, expected, "{what}");
+    assert_eq!(float_bits(got), float_bits(expected), "{what}");
+}
+
+/// The worst-first ranking is built when an entry is first read, not when
+/// it is decided. No reader can tell: an entry never read before the next
+/// evaluation, an entry read twice and a hierarchy's main entry all equal
+/// the eagerly ranked reference, and so does every returned decision.
+#[test]
+fn ranking_on_read_is_unobservable() {
+    let policies = [
+        AdaptPolicy::default(),
+        AdaptPolicy {
+            blacklist_removed: false,
+            ..Default::default()
+        },
+        AdaptPolicy {
+            opportunistic_migration: true,
+            ..Default::default()
+        },
+        AdaptPolicy {
+            blacklist_removed: false,
+            opportunistic_migration: true,
+            ..Default::default()
+        },
+    ];
+    let mut kinds = BTreeSet::new();
+    let mut seed = 0x1A2E_0000u64;
+    for policy in policies {
+        for nodes in [2u32, 9, 36, 256] {
+            for clusters in [1u16, 3, 8] {
+                seed += 1;
+                let mut rng = Xoshiro256StarStar::seeded(seed);
+                // `unread` leaves every other entry unread until the next
+                // evaluation replaces it; `twice` reads every entry twice.
+                let mut unread = Coordinator::new(policy);
+                let mut twice = Coordinator::new(policy);
+                let mut hier = HierarchicalCoordinator::new(policy);
+                let mut reference = Reference::new(policy);
+                let id_space = nodes + nodes / 4 + 1;
+                let mut phase = Phase::Band;
+                let mut now = SimTime::ZERO;
+                for step in 0..80 {
+                    let what = |who: &str| format!("{who}: seed {seed} step {step}");
+                    match rng.gen_index(8) {
+                        0..=2 => {
+                            for _ in 0..1 + rng.gen_index(nodes as usize) {
+                                let node = rng.gen_range(id_space.into()) as u32;
+                                let r = dyadic_report(&mut rng, node, clusters, phase, now);
+                                unread.record_report(r);
+                                twice.record_report(r);
+                                hier.record_report(r);
+                                reference.record_report(r);
+                            }
+                        }
+                        3 => {
+                            let node = NodeId(rng.gen_range(id_space.into()) as u32);
+                            unread.node_gone(node);
+                            twice.node_gone(node);
+                            hier.node_gone(node);
+                            reference.node_gone(node);
+                        }
+                        4 => {
+                            // A suspect set: each known member falls silent
+                            // with a small chance.
+                            let known: Vec<NodeId> = reference.latest.keys().copied().collect();
+                            for node in known {
+                                if rng.gen_bool(0.04) {
+                                    unread.mark_suspect(node);
+                                    twice.mark_suspect(node);
+                                    hier.mark_suspect(node);
+                                    reference.suspects.insert(node);
+                                }
+                            }
+                        }
+                        5 => {
+                            let suspects: Vec<NodeId> =
+                                reference.suspects.iter().copied().collect();
+                            for node in suspects {
+                                unread.clear_suspect(node);
+                                twice.clear_suspect(node);
+                                hier.clear_suspect(node);
+                                reference.suspects.remove(&node);
+                            }
+                        }
+                        6 => {
+                            let cluster = ClusterId(rng.gen_index(clusters.into()) as u16);
+                            let bps = 1e4 + 1e6 * rng.gen_f64();
+                            unread.observe_uplink(cluster, bps);
+                            twice.observe_uplink(cluster, bps);
+                            hier.observe_uplink(cluster, bps);
+                            reference.uplink_observations.insert(cluster, bps);
+                        }
+                        _ => {
+                            now += SimDuration::from_secs(180);
+                            let fastest = rng.gen_bool(0.7).then(|| 0.8 + rng.gen_f64());
+                            let expected = reference.evaluate(now, fastest);
+                            for (who, decision) in [
+                                ("unread", unread.evaluate(now, fastest)),
+                                ("twice", twice.evaluate(now, fastest)),
+                                ("hier", hier.evaluate(now, fastest)),
+                            ] {
+                                assert_eq!(decision, expected.decision, "{}", what(who));
+                            }
+                            if step % 2 == 1 {
+                                assert_entry(unread.last_decision(), &expected, &what("unread"));
+                            }
+                            assert_entry(twice.last_decision(), &expected, &what("twice"));
+                            assert_entry(twice.last_decision(), &expected, &what("twice, again"));
+                            assert_entry(hier.last_decision(), &expected, &what("hier"));
+                            kinds.insert(expected.decision.kind());
+                            if expected.hold_fire.is_some() {
+                                kinds.insert("hold-fire");
+                            }
+                            phase = [Phase::Shrink, Phase::Band, Phase::Grow, Phase::BadLink]
+                                [rng.gen_index(4)];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for kind in [
+        "none",
+        "hold-fire",
+        "add",
+        "remove-nodes",
+        "remove-cluster",
+        "opportunistic-swap",
+    ] {
+        assert!(kinds.contains(kind), "no {kind} decision among {kinds:?}");
     }
 }

@@ -15,6 +15,14 @@
 //! `PROVENANCE_OK n=<entries>` at shutdown. Each event is appended to
 //! `--out` as soon as it is emitted, and the instrument records follow at
 //! shutdown, so memory does not grow with the number of decisions.
+//!
+//! Each period runs decide → act → record, in that order: `evaluate`,
+//! then the `Grow`/`Shrink` goes to the hub, and only then is the entry
+//! read and emitted. The hub's relay of a `Grow` to the launchers is the
+//! grid's reaction, and the entry's worst-first badness ranking is built
+//! on its first read ([`Coordinator::last_decision`]), so reading the
+//! entry before the send would put a sort of every member, plus the
+//! JSON encoding and its self-check, in front of that reaction.
 
 use sagrid_adapt::{AdaptPolicy, Coordinator, Decision};
 use sagrid_core::json::parse_json;
@@ -203,9 +211,9 @@ fn run() -> Result<(), String> {
                     // Off by default; process mode does not enable it.
                 }
             }
-            // Emit the decision's provenance event, exactly as the
-            // in-process engines do, and self-verify that it parses back
-            // `==` its log entry.
+            // The decision is on the wire: now record it. Emit its
+            // provenance event, exactly as the in-process engines do, and
+            // self-verify that it parses back `==` its log entry.
             let entry = coordinator.last_decision().expect("evaluate logs");
             // The hub epoch distinguishes pre- from post-failover
             // decisions; reconstruction ignores unknown fields.

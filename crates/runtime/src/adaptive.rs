@@ -14,7 +14,7 @@
 //! `grid_rescue` example demonstrates end to end.
 
 use crate::runtime::{Runtime, WorkerId};
-use sagrid_adapt::coordinator::Decision;
+use sagrid_adapt::coordinator::{Decision, DecisionLogEntry};
 use sagrid_adapt::{AdaptPolicy, Coordinator};
 use sagrid_core::ids::NodeId;
 use sagrid_core::time::SimDuration;
@@ -53,6 +53,11 @@ impl AdaptiveRuntime {
     /// The coordinator (latest decision, blacklists, learned requirements).
     pub fn coordinator(&self) -> &Coordinator {
         &self.coordinator
+    }
+
+    /// The latest tick's decision entry (see [`Coordinator::last_decision`]).
+    pub fn last_decision(&mut self) -> Option<&DecisionLogEntry> {
+        self.coordinator.last_decision()
     }
 
     /// Plays one monitoring period: forget, benchmark, collect, decide, apply.
@@ -296,11 +301,7 @@ mod tests {
         // Workers were busy the whole period: the stats show high
         // utilization → the coordinator asks for more nodes.
         let d = art.tick();
-        let wa_eff = art
-            .coordinator()
-            .last_decision()
-            .expect("ticked")
-            .wa_efficiency;
+        let wa_eff = art.last_decision().expect("ticked").wa_efficiency;
         assert_eq!(
             d.kind(),
             "add",

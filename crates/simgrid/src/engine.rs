@@ -152,6 +152,10 @@ impl Coord {
         }
     }
 
+    fn last_decision(&mut self) -> Option<&DecisionLogEntry> {
+        dispatch!(self, c => c.last_decision())
+    }
+
     fn record_crashed(&mut self, nodes: &[NodeId], cluster: Option<ClusterId>) {
         dispatch!(self, c => c.record_crashed(nodes, cluster))
     }
@@ -1413,11 +1417,7 @@ impl GridSim {
         if self.cfg.mode.adapts() {
             let fastest_available = self.fastest_free_speed();
             let decision = self.coordinator.evaluate(now, fastest_available);
-            let entry = self
-                .coordinator
-                .main()
-                .last_decision()
-                .expect("evaluate logs");
+            let entry = self.coordinator.last_decision().expect("evaluate logs");
             if let Some(em) = &self.em {
                 em.decisions.inc();
                 // Every decision becomes a provenance event: the wa_eff,

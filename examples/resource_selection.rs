@@ -44,7 +44,7 @@ fn main() {
         for round in 0..4 {
             std::thread::sleep(Duration::from_millis(250));
             let d = adaptive.tick();
-            log.extend(adaptive.coordinator().last_decision().cloned());
+            log.extend(adaptive.last_decision().cloned());
             println!(
                 "  tick {round}: wa_efficiency={:.3}, decision={}, workers={}",
                 adaptive.coordinator().current_wa_efficiency(),
@@ -61,7 +61,7 @@ fn main() {
         for round in 0..4 {
             std::thread::sleep(Duration::from_millis(250));
             let d = adaptive.tick();
-            log.extend(adaptive.coordinator().last_decision().cloned());
+            log.extend(adaptive.last_decision().cloned());
             println!(
                 "  tick {round}: wa_efficiency={:.3}, decision={}, workers={}",
                 adaptive.coordinator().current_wa_efficiency(),

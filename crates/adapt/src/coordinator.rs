@@ -348,11 +348,6 @@ impl Coordinator {
         self.latest.iter()
     }
 
-    /// The learned application requirements so far.
-    pub fn learned_requirements(&self) -> LearnedRequirements {
-        self.learned
-    }
-
     /// Blacklisted nodes (never to be re-added).
     pub fn blacklisted_nodes(&self) -> &BTreeSet<NodeId> {
         &self.blacklisted_nodes
@@ -805,7 +800,8 @@ mod tests {
                 assert_eq!(nodes, vec![NodeId(2), NodeId(3)]);
                 assert!(c.blacklisted_clusters().contains(&ClusterId(1)));
                 // Bandwidth requirement learned from the observation.
-                assert_eq!(c.learned_requirements().min_uplink_bps, Some(100_000.0));
+                let learned = c.last_decision().expect("evaluated").learned;
+                assert_eq!(learned.min_uplink_bps, Some(100_000.0));
                 assert_eq!(c.known_nodes(), 2);
             }
             d => panic!("expected RemoveCluster, got {d:?}"),
@@ -840,13 +836,15 @@ mod tests {
         c.record_report(report(1, 1, 1.0, 0.2, 0.4));
         c.observe_uplink(ClusterId(1), 50_000.0);
         let _ = c.evaluate(SimTime::ZERO, None);
-        assert_eq!(c.learned_requirements().min_uplink_bps, Some(50_000.0));
+        let learned = c.last_decision().expect("evaluated").learned;
+        assert_eq!(learned.min_uplink_bps, Some(50_000.0));
         // A second bad cluster with an even slower uplink must not loosen
         // the bound.
         c.record_report(report(2, 2, 1.0, 0.2, 0.5));
         c.observe_uplink(ClusterId(2), 20_000.0);
         let _ = c.evaluate(SimTime::from_secs(180), None);
-        assert_eq!(c.learned_requirements().min_uplink_bps, Some(50_000.0));
+        let learned = c.last_decision().expect("evaluated").learned;
+        assert_eq!(learned.min_uplink_bps, Some(50_000.0));
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! * [`fib`] — the classic spawn/sync micro-benchmark (fine-grained,
 //!   maximally irregular spawn tree);
 //! * [`nqueens`] — combinatorial search with irregular subtree sizes;
-//! * [`tsp`] — branch-and-bound travelling salesman with a shared global
-//!   bound (speculative parallelism and pruning);
 //! * [`barneshut`] — the paper's evaluation workload: an N-body simulation
 //!   with a Plummer-model galaxy, octree construction, θ-criterion force
 //!   evaluation, and leapfrog integration, parallelized divide-and-conquer
@@ -28,10 +26,8 @@ pub mod barneshut;
 pub mod fib;
 pub mod nqueens;
 pub mod remote;
-pub mod tsp;
 
 pub use barneshut::{BarnesHut, Body};
 pub use fib::{fib_par, fib_seq};
 pub use nqueens::{nqueens_par, nqueens_par_from, nqueens_seq, nqueens_seq_from};
 pub use remote::{frontier, RemoteDecodeError, RemoteJob};
-pub use tsp::{tsp_par, tsp_seq, TspInstance};

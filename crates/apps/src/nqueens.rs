@@ -89,7 +89,11 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let rt = Runtime::new(RuntimeConfig::single_cluster(4));
+        // Two emulated clusters of two workers: steals across them pay the
+        // WAN delay.
+        let mut cfg = RuntimeConfig::emulated_grid(2, 2);
+        cfg.wan_latency = std::time::Duration::from_micros(300);
+        let rt = Runtime::new(cfg);
         for n in [6u32, 8, 9] {
             let expected = nqueens_seq(n);
             assert_eq!(rt.run(move |ctx| nqueens_par(ctx, n, 2)), expected, "n={n}");

@@ -12,7 +12,7 @@
 //! own injection records with the coordinator daemon's decision stream and
 //! runs the crates/scenario invariant checker over the merged JSONL, so a
 //! process-mode run is certified by the *same* invariants as a DES run.
-//! On top of the JSONL invariants the driver asserts four launcher-level
+//! On top of the JSONL invariants the driver asserts five launcher-level
 //! post-conditions, computed only from what the launcher did and saw:
 //!
 //! 1. every worker it SIGKILLed is reported `EVENT died` by the hub
@@ -22,10 +22,16 @@
 //!    its cluster);
 //! 4. when a `cpu_load` that named a `count` is followed by a
 //!    `remove-nodes` decision, the workers that printed `PERTURBED speed=`
-//!    head that decision's badness ranking and are among the removed.
+//!    head that decision's badness ranking and are among the removed;
+//! 5. when the coordinator decided `add` and the launcher sent no `Grow`
+//!    of its own, some node the hub granted joined (`EVENT joined`).
 //!
-//! `scenarios/node_crash.json` and `scenarios/slow_node.json` are the
-//! paper's crashed-node and overloaded-processor cases in this form.
+//! Workers run a fixed duty cycle, 0.4 when the layout has the scenario's
+//! `target_nodes` and proportionally more on a smaller one, so a grid that
+//! starts small starts saturated, as the DES workload does.
+//! `scenarios/node_crash.json`, `scenarios/slow_node.json` and
+//! `scenarios/s2a.json` are the paper's crashed-node, overloaded-processor
+//! and expanding cases in this form.
 //!
 //! **`--scenario <name>`** runs one of three scripted scenarios whose
 //! disturbance the scenario format cannot express (each module's docs tell

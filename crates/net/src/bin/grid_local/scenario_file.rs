@@ -44,6 +44,10 @@ struct LiveWorker {
 /// 2 s settle window with room to spare.
 const SCENARIO_SETTLE: Duration = Duration::from_millis(6000);
 
+/// Highest worker duty cycle: an expanding scenario's workers stay below
+/// full load, so heartbeats and benchmarks still get the CPU.
+const MAX_DUTY: f64 = 0.8;
+
 /// SIGKILLs the first `n` live workers of `cluster`.
 fn crash(
     grid: &mut LocalGrid,
@@ -99,8 +103,15 @@ pub fn run(sa: ScenarioArgs) -> Result<Checks, Failure> {
             .clamp(1, sa.wpc)
     };
 
+    // The DES sizes its workload for `target_nodes`, so a smaller starting
+    // layout is a saturated pool. Workers here run a fixed duty cycle: 0.4
+    // at the target size (inside the coordinator's 0.3-0.5 efficiency
+    // band), and proportionally more on a smaller layout, so an expanding
+    // scenario (s2a-c) starts above the band and the coordinator grows it.
+    let layout_nodes_total: usize = spec.layout.iter().map(|&(_, n)| n).sum();
     let wa = WorkerArgs {
-        duty: 0.4,
+        duty: (0.4 * spec.target_nodes as f64 / layout_nodes_total.max(1) as f64)
+            .clamp(0.05, MAX_DUTY),
         period_ms: 500,
         heartbeat_ms: 100,
     };
@@ -148,6 +159,8 @@ pub fn run(sa: ScenarioArgs) -> Result<Checks, Failure> {
     let mut records: Vec<String> = Vec::new();
     // When the first slowing `cpu_load` that named a `count` was applied.
     let mut counted_load_at: Option<u64> = None;
+    // Whether the launcher sent a `Grow` of its own (a `grow` event).
+    let mut launcher_grew = false;
     for s in &injections {
         let due = t0 + Duration::from_micros((s.at.0 as f64 * sa.time_scale) as u64);
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
@@ -211,6 +224,7 @@ pub fn run(sa: ScenarioArgs) -> Result<Checks, Failure> {
                     .layout
                     .first()
                     .map_or(sa.wpc.max(1), |&(_, n)| n.max(1));
+                launcher_grew = true;
                 grid.send(Message::Grow {
                     count: ((count * sa.wpc).div_ceil(base)).max(1) as u32,
                     prefer: prefer.into_iter().collect(),
@@ -312,6 +326,24 @@ pub fn run(sa: ScenarioArgs) -> Result<Checks, Failure> {
         checks.assert(
             !slowed.is_empty() && worst == slowed,
             "slow worker ranked worst in the removal's badness provenance",
+        );
+    }
+
+    // --- Post-condition 5: growth, as the grid saw it. Without a launcher
+    // `Grow`, every `SpawnWorker` grant answers a coordinator `add`, so
+    // once one was decided some granted node must have joined the hub.
+    let added = decisions
+        .iter()
+        .any(|d| matches!(d.decision, Decision::Add { .. }));
+    if added && !launcher_grew {
+        let joined = grid.marks(|m| {
+            m.grants
+                .iter()
+                .any(|&(n, _)| m.joined.iter().any(|&(_, j)| j == n))
+        });
+        checks.assert(
+            joined,
+            "a node granted after the coordinator's add decision joined the grid",
         );
     }
 

@@ -4,13 +4,13 @@
 //! reports arrive over TCP instead of a function call, and decisions leave
 //! as `Grow`/`Shrink` wire messages instead of return values — the
 //! Figure-2 flowchart logic itself is byte-for-byte the library version
-//! that the in-process runtime and the discrete-event simulation use.
+//! that the discrete-event simulation, the only other driver, ticks.
 //!
 //! Every decision is also emitted as a `"decision"` metric event (via
 //! [`sagrid_simgrid::provenance::decision_event`]), so the JSONL stream
 //! reconstructs through
-//! [`sagrid_simgrid::provenance::reconstruct_decision`] exactly like an
-//! in-process run's. The daemon round-trips each event through the parser
+//! [`sagrid_simgrid::provenance::reconstruct_decision`] exactly like a
+//! DES run's. The daemon round-trips each event through the parser
 //! as it emits it, fails on the first mismatch, and prints
 //! `PROVENANCE_OK n=<entries>` at shutdown. Each event is appended to
 //! `--out` as soon as it is emitted, and the instrument records follow at
@@ -212,7 +212,7 @@ fn run() -> Result<(), String> {
                 }
             }
             // The decision is on the wire: now record it. Emit its
-            // provenance event, exactly as the in-process engines do, and
+            // provenance event, exactly as the DES engine does, and
             // self-verify that it parses back `==` its log entry.
             let entry = coordinator.last_decision().expect("evaluate logs");
             // The hub epoch distinguishes pre- from post-failover

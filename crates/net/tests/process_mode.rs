@@ -88,6 +88,22 @@ fn grid_local_slow_node_scenario_passes() {
     std::fs::remove_dir_all(&out).ok();
 }
 
+/// The paper's expanding case from its scenario file (s2a: one site at 8
+/// of the 36 nodes the workload is sized for): the saturated grid must
+/// make the coordinator decide `add`, the hub grant nodes from its pool,
+/// and the workers the launcher starts for those grants join.
+#[test]
+fn grid_local_expanding_scenario_grows() {
+    let _grid = one_grid_at_a_time();
+    let out = temp_out("s2a");
+    let output = run_scenario_file("s2a.json", &out);
+    assert_checked(
+        &output,
+        &["a node granted after the coordinator's add decision joined the grid"],
+    );
+    std::fs::remove_dir_all(&out).ok();
+}
+
 /// The scenario names and the flag this launcher used to have are usage
 /// errors now: exit 2 with the usage line, before anything is spawned.
 #[test]

@@ -8,11 +8,15 @@
 //! leave an ongoing computation) and **fault tolerance** (work held by a
 //! crashed processor is re-executed).
 //!
-//! This crate is the shared-memory twin of the discrete-event engine in
-//! `sagrid-simgrid`: workers are OS threads grouped into emulated
-//! "clusters", wide-area stealing pays an injected latency, and the same
-//! per-worker overhead statistics (busy / idle / intra- / inter-cluster
-//! communication) feed the same [`sagrid_adapt::Coordinator`].
+//! Workers are OS threads grouped into emulated "clusters", wide-area
+//! stealing pays an injected latency, and every worker keeps the paper's
+//! overhead statistics (busy / idle / intra- / inter-cluster
+//! communication). [`Runtime::take_monitoring_reports`] hands them out as
+//! monitoring reports; this crate drives no coordinator itself. Each
+//! `sagrid-worker` process (crate `sagrid-net`) runs one `Runtime` and
+//! ships its reports to the `sagrid-coordinatord` daemon, which feeds them
+//! to the same `sagrid_adapt::Coordinator` the discrete-event engine in
+//! `sagrid-simgrid` ticks.
 //!
 //! ```
 //! use sagrid_runtime::{Runtime, RuntimeConfig, WorkerCtx};
@@ -40,22 +44,17 @@
 //! * [`worker`] — the worker loop: local LIFO execution, CRS victim
 //!   selection, statistics attribution, speed emulation, control signals;
 //! * [`runtime`] — the public façade: run jobs, add/remove/crash workers,
-//!   collect monitoring reports, run speed benchmarks;
-//! * [`adaptive`] — the self-adaptation driver: wires live worker
-//!   statistics into the paper's coordinator and applies its decisions to
-//!   the thread pool.
+//!   collect monitoring reports, run speed benchmarks.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod adaptive;
 pub mod config;
 mod deque;
 pub mod job;
 pub mod runtime;
 pub mod worker;
 
-pub use adaptive::AdaptiveRuntime;
 pub use config::{ClusterLayout, RuntimeConfig};
 pub use job::JoinHandle;
 pub use runtime::{Runtime, WorkerId};

@@ -228,16 +228,6 @@ impl Runtime {
             .collect()
     }
 
-    /// The emulated cluster of a worker.
-    pub fn worker_cluster(&self, id: WorkerId) -> Option<usize> {
-        self.shared
-            .workers
-            .read()
-            .expect("workers poisoned")
-            .get(id)
-            .map(|w| w.cluster)
-    }
-
     /// Number of tasks executed so far, across all workers.
     pub fn tasks_executed(&self) -> u64 {
         self.shared
@@ -257,9 +247,10 @@ impl Runtime {
 
     /// Takes (and resets) every alive worker's overhead counters as
     /// [`MonitoringReport`]s — the statistics stream the adaptation
-    /// coordinator consumes. Speeds are *raw* benchmark durations turned
-    /// relative by the caller (see [`crate::AdaptiveRuntime`]); here each
-    /// report carries speed 1.0 and the caller overrides it.
+    /// coordinator consumes. Each report carries speed 1.0, paired with the
+    /// worker's latest raw benchmark duration: the coordinator turns raw
+    /// durations into relative speeds across all nodes
+    /// (`Coordinator::record_benchmark`).
     pub fn take_monitoring_reports(&self) -> Vec<(MonitoringReport, Option<Duration>)> {
         let now = self.now();
         let workers = self.shared.workers.read().expect("workers poisoned");
@@ -361,10 +352,23 @@ mod tests {
     #[test]
     fn workers_join_mid_computation() {
         let rt = Runtime::new(RuntimeConfig::single_cluster(1));
-        let added = rt.add_worker(0);
+        rt.add_worker(0);
         assert_eq!(rt.alive_workers().len(), 2);
         assert_eq!(rt.run(|ctx| fib(ctx, 20)), 6765);
-        assert_eq!(rt.worker_cluster(added), Some(0));
+        // Three more join while a computation is in flight.
+        let result = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                for _ in 0..3 {
+                    rt.add_worker(0);
+                }
+            });
+            rt.run(|ctx| fib(ctx, 24))
+        });
+        assert_eq!(result, 46368);
+        assert_eq!(rt.alive_workers().len(), 5);
+        // Monitoring covers the latecomers.
+        assert_eq!(rt.take_monitoring_reports().len(), 5);
         rt.shutdown();
     }
 
@@ -384,7 +388,7 @@ mod tests {
 
     #[test]
     fn crash_mid_run_is_survivable() {
-        let rt = Runtime::new(RuntimeConfig::single_cluster(4));
+        let rt = Runtime::with_metrics(RuntimeConfig::single_cluster(4), Metrics::enabled());
         // Crash a worker while a computation is in flight: spawn the crash
         // from another thread after a short delay.
         let result = std::thread::scope(|s| {
@@ -396,6 +400,19 @@ mod tests {
             rt.run(|ctx| fib(ctx, 24))
         });
         assert_eq!(result, 46368);
+        // The registry saw the whole story: two crashes, the survivors
+        // stealing work (single cluster, so all local), the work tree
+        // spawned, and a half-empty pool at the end.
+        let report = rt.metrics().report();
+        assert_eq!(report.counter("rt.crashes"), 2);
+        assert_eq!(report.counter("rt.workers_joined"), 4);
+        assert_eq!(report.gauge("rt.workers_alive"), 2);
+        assert!(report.counter("rt.spawns") > 100);
+        let local = report.counter("rt.steals.local_ok") + report.counter("rt.steals.local_failed");
+        assert!(local > 0, "idle workers must have attempted local steals");
+        let remote =
+            report.counter("rt.steals.remote_ok") + report.counter("rt.steals.remote_failed");
+        assert_eq!(remote, 0, "a single-cluster pool has no remote victims");
         rt.shutdown();
     }
 
@@ -453,11 +470,25 @@ mod tests {
     #[test]
     fn monitoring_reports_cover_alive_workers_and_reset() {
         let rt = Runtime::new(RuntimeConfig::single_cluster(3));
+        let start = Instant::now();
+        let _ = rt.take_monitoring_reports();
         let _ = rt.run(|ctx| fib(ctx, 18));
+        std::thread::sleep(Duration::from_millis(20));
+        let wall = start.elapsed().as_secs_f64();
         let reports = rt.take_monitoring_reports();
         assert_eq!(reports.len(), 3);
         let total_busy: u64 = reports.iter().map(|(r, _)| r.breakdown.busy.0).sum();
         assert!(total_busy > 0, "someone must have done the work");
+        // Busy + idle + comm + benchmark over a period stays within the
+        // wall time, bookkeeping noise aside, per worker.
+        for (r, _) in &reports {
+            let accounted = r.breakdown.total().as_secs_f64();
+            assert!(
+                accounted <= wall * 1.25 + 0.01,
+                "worker {} accounted {accounted:.3}s of a {wall:.3}s period",
+                r.node
+            );
+        }
         rt.shutdown();
     }
 
@@ -535,8 +566,10 @@ mod tests {
     #[test]
     fn default_runtime_reports_nothing() {
         let rt = Runtime::new(RuntimeConfig::single_cluster(2));
+        rt.crash_worker(1);
         assert_eq!(rt.run(|ctx| fib(ctx, 15)), 610);
         assert!(!rt.metrics().is_enabled());
+        // Not even the crash is counted.
         assert!(rt.metrics().report().is_empty());
         rt.shutdown();
     }

@@ -27,8 +27,10 @@ echo "== one adaptation loop (the coordinator owns speed normalisation) =="
 # The engines feed raw benchmark times to Coordinator::record_benchmark,
 # and the coordinator forgets departed nodes' speeds itself. An engine that
 # keeps its own SpeedTracker has to pair every departure with a second
-# remove, and the threaded runtime once forgot to. No program code under
-# crates/ outside sagrid-adapt may name the type (test directories aside).
+# remove, or a departed node keeps anchoring the survivors' speeds. The two
+# drivers of the coordinator, the DES engine and sagrid-coordinatord, keep
+# none. No program code under crates/ outside sagrid-adapt may name the
+# type (test directories aside).
 if grep -rl --include='*.rs' --exclude-dir=tests 'SpeedTracker' crates \
     | grep -v '^crates/adapt/'; then
     echo "  FAIL: the files above name SpeedTracker; feed Coordinator::record_benchmark instead" >&2
@@ -82,19 +84,22 @@ echo "== experiments smoke (parallel == serial) =="
 diff target/ci_serial.txt target/ci_parallel.txt
 echo "parallel output is byte-identical to serial"
 
-echo "== process-mode smoke (crashed node + overloaded processor, one file drives both twins) =="
-# The paper's crashed-node and overloaded-processor cases, each from one
-# checked-in scenario file: through the DES, then over real sockets, where
-# grid-local spawns the hub, three workers and the out-of-process
-# coordinator and applies the same events (a SIGKILL; a tenfold CPU load
-# on one worker). Beyond the JSONL invariants the launcher asserts what
-# only it can see: the hub reports the crash (heartbeat timeout, not
-# socket close), the blacklisted id never rejoins, the slowed worker heads
-# the removal's badness ranking, and every child is reaped — no orphans.
+echo "== process-mode smoke (crashed node + overloaded processor + expanding grid, one file drives both twins) =="
+# The paper's crashed-node, overloaded-processor and expanding cases, each
+# from one checked-in scenario file: through the DES, then over real
+# sockets, where grid-local spawns the hub, three workers per site and the
+# out-of-process coordinator and applies the same events (a SIGKILL; a
+# tenfold CPU load on one worker; none for s2a, whose grid starts at 8 of
+# the 36 nodes its workload is sized for). Beyond the JSONL invariants the
+# launcher asserts what only it can see: the hub reports the crash
+# (heartbeat timeout, not socket close), the blacklisted id never rejoins,
+# the slowed worker heads the removal's badness ranking, a node granted
+# after the coordinator's add decision joins, and every child is reaped —
+# no orphans.
 # Those post-conditions are conditional on what the run did, so the gate
 # also requires that they were evaluated. The hard timeout keeps a wedged
 # run from hanging the gate.
-for f in node_crash slow_node; do
+for f in node_crash slow_node s2a; do
     ./target/release/experiments --scenario "scenarios/$f.json"
     rm -rf "target/ci_grid_$f"
     timeout 55 ./target/release/grid-local --scenario-file "scenarios/$f.json" \
@@ -105,6 +110,8 @@ grep -q "CHECK ok: crashed node is blacklisted in the final decision entry" \
     target/ci_grid_node_crash.log
 grep -q "CHECK ok: slow worker ranked worst in the removal's badness provenance" \
     target/ci_grid_slow_node.log
+grep -q "CHECK ok: a node granted after the coordinator's add decision joined the grid" \
+    target/ci_grid_s2a.log
 
 echo "== steal smoke (work migrates between processes over the wire) =="
 # Bounded run of the wire-level work-stealing scenario: a slow root worker

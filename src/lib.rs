@@ -22,7 +22,7 @@
 //! * [`net`] — process-mode TCP control plane (std-only wire codec,
 //!   hub/worker/coordinator binaries, `grid-local` launcher);
 //! * [`apps`] — divide-and-conquer applications (Fibonacci,
-//!   N-queens, TSP, Barnes-Hut);
+//!   N-queens, Barnes-Hut);
 //! * [`exp`] — the experiment harness reproducing every figure
 //!   and table of the paper's evaluation.
 //!

@@ -8,148 +8,53 @@
 //! one main coordinator which collects the information from the
 //! sub-coordinators."
 //!
-//! [`SubCoordinator`] absorbs its cluster's per-node report stream and
-//! emits **one digest message per monitoring period** containing compact
-//! per-node summaries (id, speed, overhead fraction, inter-cluster
-//! fraction). The [`HierarchicalCoordinator`] reconstructs equivalent
-//! reports from the digests and runs the ordinary [`Coordinator`] on them
-//! (benchmarks go straight to it, so replayed reports take its speeds),
-//! so its decisions are *identical* to the flat design (tested) while the
-//! main coordinator receives `O(clusters)` messages per period instead of
-//! `O(nodes)`.
+//! The [`HierarchicalCoordinator`] models the hierarchy's ingress only:
+//! it holds each member's latest raw report in one node-sorted table and
+//! replays the table into an ordinary [`Coordinator`] at every
+//! evaluation. Its decisions are therefore those of the flat design fed
+//! the same reports (tested); what differs is when a report reaches the
+//! main coordinator. Between evaluations the main coordinator's
+//! efficiency is still the previous period's, so the DES efficiency
+//! timeline lags one period behind the flat one.
 
 use crate::coordinator::{Coordinator, Decision, DecisionLogEntry};
 use crate::policy::AdaptPolicy;
 use sagrid_core::ids::{ClusterId, NodeId};
-use sagrid_core::stats::{MonitoringReport, OverheadBreakdown};
+use sagrid_core::stats::MonitoringReport;
 use sagrid_core::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
-/// Compact per-node summary inside a digest (a few dozen bytes per node,
-/// versus a full statistics message per node hitting the main coordinator).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NodeSummary {
-    /// The node.
-    pub node: NodeId,
-    /// The report's relative speed in `(0, 1]`; the main coordinator
-    /// replaces it with its own benchmark-derived speed when it has one.
-    pub speed: f64,
-    /// Total overhead fraction for the period.
-    pub overhead: f64,
-    /// Inter-cluster overhead fraction for the period.
-    pub ic_overhead: f64,
-}
-
-/// One sub-coordinator's per-period message to the main coordinator.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ClusterDigest {
-    /// The reporting cluster.
-    pub cluster: ClusterId,
-    /// End of the covered monitoring period.
-    pub period_end: SimTime,
-    /// Per-node summaries.
-    pub nodes: Vec<NodeSummary>,
-}
-
-/// Collects and condenses one cluster's statistics stream.
-#[derive(Clone, Debug)]
-pub struct SubCoordinator {
-    cluster: ClusterId,
-    pending: BTreeMap<NodeId, MonitoringReport>,
-    reports_received: u64,
-}
-
-impl SubCoordinator {
-    /// Creates a sub-coordinator for `cluster`.
-    pub fn new(cluster: ClusterId) -> Self {
-        Self {
-            cluster,
-            pending: BTreeMap::new(),
-            reports_received: 0,
-        }
-    }
-
-    /// Absorbs one member's report. Reports from foreign clusters are a
-    /// wiring bug.
-    pub fn record_report(&mut self, report: MonitoringReport) {
-        assert_eq!(
-            report.cluster, self.cluster,
-            "report routed to the wrong sub-coordinator"
-        );
-        self.reports_received += 1;
-        self.pending.insert(report.node, report);
-    }
-
-    /// A member left or died.
-    pub fn node_gone(&mut self, node: NodeId) {
-        self.pending.remove(&node);
-    }
-
-    /// Emits the period digest (empty clusters emit `None`). Keeps the
-    /// latest reports so a node whose next report is missed is still
-    /// represented — the same previous-period fallback the flat
-    /// coordinator uses.
-    pub fn digest(&self, period_end: SimTime) -> Option<ClusterDigest> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        Some(ClusterDigest {
-            cluster: self.cluster,
-            period_end,
-            nodes: self
-                .pending
-                .values()
-                .map(|r| NodeSummary {
-                    node: r.node,
-                    speed: r.speed,
-                    overhead: r.overhead_fraction(),
-                    ic_overhead: r.ic_overhead_fraction(),
-                })
-                .collect(),
-        })
-    }
-
-    /// Total member reports absorbed (the messages the main coordinator
-    /// did *not* have to receive).
-    pub fn reports_received(&self) -> u64 {
-        self.reports_received
-    }
-}
-
-/// The two-level coordinator: sub-coordinators per cluster feeding a main
-/// [`Coordinator`].
+/// A main [`Coordinator`] that receives the members' reports only at
+/// evaluation time.
 #[derive(Clone, Debug)]
 pub struct HierarchicalCoordinator {
-    subs: BTreeMap<ClusterId, SubCoordinator>,
     main: Coordinator,
-    digests_received: u64,
+    /// Latest raw report per member, sorted by node id. A Suspect member's
+    /// report stays held until the suspicion resolves.
+    held: Vec<MonitoringReport>,
 }
 
 impl HierarchicalCoordinator {
     /// Creates the hierarchy with the given adaptation policy.
     pub fn new(policy: AdaptPolicy) -> Self {
         Self {
-            subs: BTreeMap::new(),
             main: Coordinator::new(policy),
-            digests_received: 0,
+            held: Vec::new(),
         }
     }
 
-    /// Routes a node's report to its cluster's sub-coordinator (created on
-    /// demand — clusters join as the application expands).
+    /// Holds a node's report until the next evaluation (overwriting the
+    /// previous one). A fresh report is proof of life: the suspicion on
+    /// the main coordinator is cleared at once.
     pub fn record_report(&mut self, report: MonitoringReport) {
-        // A fresh report is proof of life no matter which level it enters
-        // at: clear any suspicion on the main coordinator immediately (the
-        // digest replay at evaluation time deliberately does not).
         self.main.clear_suspect(report.node);
-        self.subs
-            .entry(report.cluster)
-            .or_insert_with(|| SubCoordinator::new(report.cluster))
-            .record_report(report);
+        match self.held.binary_search_by_key(&report.node, |r| r.node) {
+            Ok(i) => self.held[i] = report,
+            Err(i) => self.held.insert(i, report),
+        }
     }
 
     /// Forwards a benchmark to the main coordinator, whose speeds the
-    /// replayed digests take (see [`Coordinator::record_benchmark`]).
+    /// replayed reports take (see [`Coordinator::record_benchmark`]).
     pub fn record_benchmark(&mut self, node: NodeId, duration: SimDuration) {
         self.main.record_benchmark(node, duration);
     }
@@ -164,22 +69,16 @@ impl HierarchicalCoordinator {
         self.main.mark_suspects(nodes);
     }
 
-    /// Clears a suspicion after proof of life (see
+    /// Clears a suspicion after proof of life; the member's held report
+    /// is replayed at the next evaluation (see
     /// [`Coordinator::clear_suspect`]).
     pub fn clear_suspect(&mut self, node: NodeId) -> bool {
         self.main.clear_suspect(node)
     }
 
-    /// Members currently under suspicion.
-    pub fn suspects(&self) -> &std::collections::BTreeSet<NodeId> {
-        self.main.suspects()
-    }
-
     /// A node left or died.
     pub fn node_gone(&mut self, node: NodeId) {
-        for sub in self.subs.values_mut() {
-            sub.node_gone(node);
-        }
+        self.drop_held(&[node], None);
         self.main.node_gone(node);
     }
 
@@ -188,53 +87,30 @@ impl HierarchicalCoordinator {
         self.main.observe_uplink(cluster, bps);
     }
 
-    /// Forwards a crash notification (see [`Coordinator::record_crashed`])
-    /// and keeps the sub-coordinators consistent: a fully-crashed cluster
-    /// stops digesting.
+    /// Forwards a crash notification (see [`Coordinator::record_crashed`]);
+    /// the crashed nodes' held reports go, and the whole cluster's when
+    /// one is named.
     pub fn record_crashed(&mut self, nodes: &[NodeId], cluster: Option<ClusterId>) {
-        for &n in nodes {
-            for sub in self.subs.values_mut() {
-                sub.node_gone(n);
-            }
-        }
-        if let Some(c) = cluster {
-            self.subs.remove(&c);
-        }
+        self.drop_held(nodes, cluster);
         self.main.record_crashed(nodes, cluster);
     }
 
-    /// One monitoring period: collect digests, reconstruct reports, run the
-    /// flat flowchart. Decisions are identical to a flat coordinator fed
-    /// the raw reports.
+    /// One monitoring period: replay every held report of a member that is
+    /// not Suspect into the main coordinator (a Suspect member's report is
+    /// a stale echo of a pre-silence period, not proof of life), then run
+    /// the flat flowchart. Removed members' held reports go.
     pub fn evaluate(&mut self, now: SimTime, fastest_available_speed: Option<f64>) -> Decision {
-        let digests: Vec<ClusterDigest> =
-            self.subs.values().filter_map(|s| s.digest(now)).collect();
-        self.digests_received += digests.len() as u64;
-        for d in digests {
-            for s in d.nodes {
-                // A digest replays the last report each sub kept. For a
-                // Suspect member that is a stale echo of a pre-silence
-                // period, not proof of life — replaying it through
-                // `record_report` would wrongly clear the suspicion.
-                if self.main.suspects().contains(&s.node) {
-                    continue;
-                }
-                self.main.record_report(reconstruct(d.cluster, now, s));
+        for r in &self.held {
+            if !self.main.suspects().contains(&r.node) {
+                self.main.record_report(*r);
             }
         }
         let decision = self.main.evaluate(now, fastest_available_speed);
-        // Keep the sub-coordinators consistent with removals.
         match &decision {
             Decision::RemoveNodes { nodes } | Decision::OpportunisticSwap { remove: nodes, .. } => {
-                for &n in nodes {
-                    for sub in self.subs.values_mut() {
-                        sub.node_gone(n);
-                    }
-                }
+                self.drop_held(nodes, None);
             }
-            Decision::RemoveCluster { cluster, .. } => {
-                self.subs.remove(cluster);
-            }
+            Decision::RemoveCluster { cluster, .. } => self.drop_held(&[], Some(*cluster)),
             _ => {}
         }
         decision
@@ -251,42 +127,26 @@ impl HierarchicalCoordinator {
         self.main.last_decision()
     }
 
-    /// Messages the main coordinator received (digests) versus the
-    /// per-node messages it would have received in the flat design.
-    pub fn message_counts(&self) -> (u64, u64) {
-        let flat: u64 = self.subs.values().map(|s| s.reports_received()).sum();
-        (self.digests_received, flat)
-    }
-}
-
-/// Rebuilds a [`MonitoringReport`] with the digest's exact fractions:
-/// weighted average efficiency and badness depend only on `speed`,
-/// `overhead` and `ic_overhead`, so decisions over reconstructed reports
-/// equal decisions over the originals.
-fn reconstruct(cluster: ClusterId, period_end: SimTime, s: NodeSummary) -> MonitoringReport {
-    const SCALE: u64 = 1_000_000_000;
-    let overhead = s.overhead.clamp(0.0, 1.0);
-    let ic = s.ic_overhead.clamp(0.0, overhead);
-    let busy = ((1.0 - overhead) * SCALE as f64) as u64;
-    let inter = (ic * SCALE as f64) as u64;
-    let idle = SCALE - busy - inter;
-    MonitoringReport {
-        node: s.node,
-        cluster,
-        period_end,
-        breakdown: OverheadBreakdown {
-            busy: SimDuration(busy),
-            idle: SimDuration(idle),
-            inter_comm: SimDuration(inter),
-            ..Default::default()
-        },
-        speed: s.speed,
+    /// Drops the held reports of `nodes` and of every member of `cluster`:
+    /// one node by binary search, anything more in one pass.
+    fn drop_held(&mut self, nodes: &[NodeId], cluster: Option<ClusterId>) {
+        if let ([node], None) = (nodes, cluster) {
+            if let Ok(i) = self.held.binary_search_by_key(node, |r| r.node) {
+                self.held.remove(i);
+            }
+            return;
+        }
+        let mut gone = nodes.to_vec();
+        gone.sort_unstable();
+        self.held
+            .retain(|r| Some(r.cluster) != cluster && gone.binary_search(&r.node).is_err());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sagrid_core::stats::OverheadBreakdown;
 
     fn report(id: u32, cluster: u16, speed: f64, busy: f64, ic: f64) -> MonitoringReport {
         let total = 1_000_000u64;
@@ -323,12 +183,15 @@ mod tests {
         }
         let t = SimTime::from_secs(180);
         assert_eq!(flat.evaluate(t, None), hier.evaluate(t, None));
-        // The replayed digests took their speeds from the main coordinator.
-        let speeds = |e: &crate::coordinator::DecisionLogEntry| -> Vec<(NodeId, f64)> {
-            e.badness.iter().map(|b| (b.node, b.speed)).collect()
-        };
-        let mut got = speeds(flat.last_decision().unwrap());
-        assert_eq!(got, speeds(hier.last_decision().unwrap()));
+        assert_eq!(flat.last_decision(), hier.last_decision());
+        // The replayed reports took their speeds from the main coordinator.
+        let mut got: Vec<(NodeId, f64)> = flat
+            .last_decision()
+            .unwrap()
+            .badness
+            .iter()
+            .map(|b| (b.node, b.speed))
+            .collect();
         got.sort_by_key(|&(n, _)| n);
         let sent: Vec<(NodeId, f64)> = reports.iter().map(|r| (r.node, r.speed)).collect();
         assert_eq!(got, sent);
@@ -392,31 +255,56 @@ mod tests {
         // suspicion just as a direct report to the flat design does.
         flat.record_report(rs[3]);
         hier.record_report(rs[3]);
-        assert!(flat.suspects().is_empty() && hier.suspects().is_empty());
+        assert!(flat.suspects().is_empty() && hier.main().suspects().is_empty());
     }
 
+    /// Reports reach the main coordinator only at evaluation: until then
+    /// its efficiency is the previous period's (the one-period lag of the
+    /// DES efficiency timeline).
     #[test]
-    fn message_counts_show_the_aggregation_win() {
+    fn reports_reach_the_main_coordinator_at_evaluation() {
         let mut hier = HierarchicalCoordinator::new(AdaptPolicy::default());
-        // 3 clusters × 40 nodes, 4 periods.
-        for period in 1..=4u64 {
-            for i in 0..120u32 {
-                let mut r = report(i, (i % 3) as u16, 1.0, 0.4, 0.0);
-                r.period_end = SimTime::from_secs(180 * period);
-                hier.record_report(r);
-            }
-            let _ = hier.evaluate(SimTime::from_secs(180 * period), None);
+        for i in 0..4 {
+            hier.record_report(report(i, 0, 1.0, 0.6, 0.0));
         }
-        let (digests, flat_msgs) = hier.message_counts();
+        assert_eq!(hier.main().known_nodes(), 0);
+        let _ = hier.evaluate(SimTime::from_secs(180), None);
+        let first = hier.main().current_wa_efficiency();
+        assert_eq!(hier.main().known_nodes(), 4);
+        for i in 0..4 {
+            hier.record_report(report(i, 0, 1.0, 0.5, 0.0));
+        }
         assert_eq!(
-            flat_msgs, 480,
-            "the flat design would see one msg/node/period"
+            hier.main().current_wa_efficiency().to_bits(),
+            first.to_bits()
         );
-        assert_eq!(digests, 12, "the hierarchy sees one digest/cluster/period");
+        let _ = hier.evaluate(SimTime::from_secs(360), None);
+        assert_ne!(
+            hier.main().current_wa_efficiency().to_bits(),
+            first.to_bits()
+        );
     }
 
+    /// A report held while its member was Suspect is not replayed, and is
+    /// replayed once the suspicion is cleared.
     #[test]
-    fn removed_cluster_stops_digesting() {
+    fn a_suspects_held_report_is_replayed_after_clear_suspect() {
+        let mut hier = HierarchicalCoordinator::new(AdaptPolicy::default());
+        for i in 0..4 {
+            hier.record_report(report(i, 0, 1.0, 0.6, 0.0));
+        }
+        hier.mark_suspect(NodeId(3));
+        let _ = hier.evaluate(SimTime::from_secs(180), None);
+        assert!(hier.main().latest_reports().all(|r| r.node != NodeId(3)));
+        assert!(hier.clear_suspect(NodeId(3)));
+        let _ = hier.evaluate(SimTime::from_secs(360), None);
+        assert!(hier.main().latest_reports().any(|r| r.node == NodeId(3)));
+    }
+
+    /// A removed cluster's held reports are not replayed: the next
+    /// evaluation sees only the surviving cluster.
+    #[test]
+    fn a_removed_clusters_held_reports_are_not_replayed() {
         let mut hier = HierarchicalCoordinator::new(AdaptPolicy::default());
         for i in 0..4 {
             hier.record_report(report(i, 0, 1.0, 0.6, 0.01));
@@ -426,16 +314,9 @@ mod tests {
         }
         let d = hier.evaluate(SimTime::from_secs(180), None);
         assert!(matches!(d, Decision::RemoveCluster { cluster, .. } if cluster == ClusterId(1)));
-        // Next period: only cluster 0 digests.
-        let before = hier.message_counts().0;
         let _ = hier.evaluate(SimTime::from_secs(360), None);
-        assert_eq!(hier.message_counts().0 - before, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong sub-coordinator")]
-    fn misrouted_report_panics() {
-        let mut sub = SubCoordinator::new(ClusterId(0));
-        sub.record_report(report(0, 1, 1.0, 0.5, 0.0));
+        let entry = hier.last_decision().unwrap();
+        assert_eq!(entry.nodes, 4);
+        assert!(entry.badness.iter().all(|b| b.cluster == ClusterId(0)));
     }
 }

@@ -22,8 +22,8 @@
 //!   learned bandwidth requirements;
 //! * [`bandwidth`] — §3.3: effective-bandwidth estimation from measured
 //!   data-transfer times (feeds the learned requirements);
-//! * [`hierarchy`] — §7 future work: one sub-coordinator per cluster
-//!   aggregating its statistics stream into a single digest per period;
+//! * [`hierarchy`] — §7 future work, ingress only: members' reports are
+//!   held and replayed into one flat [`Coordinator`] at each evaluation;
 //!
 //! Everything here is a pure state machine over
 //! [`sagrid_core::stats::MonitoringReport`]s — both the threaded runtime and
@@ -45,7 +45,7 @@ pub use badness::{cluster_badness, node_badness, BadnessCoefficients};
 pub use bandwidth::BandwidthEstimator;
 pub use coordinator::{Coordinator, Decision, DecisionLogEntry, NodeBadnessRecord};
 pub use efficiency::{efficiency, wa_efficiency, wa_efficiency_of_reports};
-pub use hierarchy::{ClusterDigest, HierarchicalCoordinator, SubCoordinator};
+pub use hierarchy::HierarchicalCoordinator;
 // `SpeedTracker` is public only for the `benchmark/` generator and this
 // crate's tests; the engines feed `Coordinator::record_benchmark`.
 pub use monitor::{BenchmarkScheduler, SpeedTracker};

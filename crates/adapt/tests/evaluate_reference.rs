@@ -594,9 +594,9 @@ fn edge_cases_match_the_reference_algorithm() {
     }
 }
 
-/// A report whose busy and ic fractions are multiples of 1/64: a
-/// hierarchy's digest rebuilds such a report bit for bit, so its main
-/// coordinator's entries can be held to the reference too.
+/// A report whose busy and ic fractions are multiples of 1/64. A
+/// hierarchy replays the raw report itself, so its main coordinator's
+/// entries are held to the reference like the flat coordinator's.
 fn dyadic_report(
     rng: &mut Xoshiro256StarStar,
     node: u32,

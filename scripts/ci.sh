@@ -78,6 +78,34 @@ awk '
     }
 ' BENCH_des_throughput.json target/BENCH_des_throughput.quick.json
 
+echo "== DES throughput counts vs committed baseline (exact) =="
+# Quick mode changes only the sample count, so every row's events and
+# steal_attempts, and des_million_node's final_nodes, are deterministic:
+# each must equal the committed baseline. A difference is a behaviour
+# change, not noise. des_million_node is the only 7,680-cluster run with
+# the hierarchical coordinator, so this also guards that path.
+awk '
+    /"name"/ { gsub(/[",]/, ""); name = $2 }
+    /^ *"(events|steal_attempts|final_nodes)":/ {
+        key = $1; gsub(/[":]/, "", key)
+        value = $2; gsub(/,/, "", value)
+        if (NR == FNR) { base[name " " key] = value }
+        else { now[name " " key] = value }
+    }
+    END {
+        for (k in base) {
+            checked++
+            if (!(k in now)) { printf "  FAIL: %s missing from the quick run\n", k; bad = 1 }
+            else if (now[k] != base[k]) {
+                printf "  FAIL: %s is %s, baseline %s\n", k, now[k], base[k]; bad = 1
+            }
+        }
+        if (checked < 7) { printf "  FAIL: only %d baseline counts found\n", checked; bad = 1 }
+        if (bad) exit 1
+        printf "  all %d counts equal the baseline\n", checked
+    }
+' BENCH_des_throughput.json target/BENCH_des_throughput.quick.json
+
 echo "== experiments smoke (parallel == serial) =="
 ./target/release/experiments --quick --serial > target/ci_serial.txt
 ./target/release/experiments --quick > target/ci_parallel.txt

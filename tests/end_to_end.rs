@@ -228,24 +228,21 @@ fn injections_change_behaviour_only_after_their_time() {
 fn hierarchical_coordinator_matches_flat_decisions() {
     // Paper §7: the hierarchy is a scalability fix, not a behaviour change.
     // Same scenario, flat vs hierarchical coordinator: identical decision
-    // sequences and (since decisions drive everything) identical runs.
+    // entries, floats bit for bit, and (since decisions drive everything)
+    // identical runs. The paper's 48 iterations, because a shorter run
+    // ends before the first 180 s period and decides nothing.
     for id in [
         ScenarioId::S3OverloadedCpus,
         ScenarioId::S4OverloadedLink,
         ScenarioId::S6Crash,
     ] {
-        let s = quick(id);
+        let s = Scenario::new(id);
         let flat = GridSim::run(s.config(AdaptMode::Adapt));
         let mut cfg = s.config(AdaptMode::Adapt);
         cfg.hierarchical_coordinator = true;
         let hier = GridSim::run(cfg);
-        let kinds = |r: &sagrid::simgrid::RunResult| {
-            r.decisions
-                .iter()
-                .map(|d| d.decision.kind())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(kinds(&flat), kinds(&hier), "scenario {}", id.label());
+        assert!(!flat.decisions.is_empty(), "scenario {}", id.label());
+        assert_eq!(flat.decisions, hier.decisions, "scenario {}", id.label());
         assert_eq!(
             flat.iteration_durations,
             hier.iteration_durations,

@@ -24,11 +24,14 @@
 //!   data-transfer times (feeds the learned requirements);
 //! * [`hierarchy`] — §7 future work, ingress only: members' reports are
 //!   held and replayed into one flat [`Coordinator`] at each evaluation;
+//! * [`provenance`] — the decision codec: every decision-log entry as a
+//!   `decision` metric event (with its badness inputs and blacklist
+//!   state), and the entry reconstructed back from the JSONL line;
 //!
 //! Everything here is a pure state machine over
-//! [`sagrid_core::stats::MonitoringReport`]s — both the threaded runtime and
-//! the discrete-event grid emulation drive the *same* coordinator code
-//! (DESIGN.md §5.1).
+//! [`sagrid_core::stats::MonitoringReport`]s — both the process-mode
+//! `sagrid-coordinatord` and the discrete-event grid emulation drive the
+//! *same* coordinator code (DESIGN.md §5.1).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -40,6 +43,7 @@ pub mod efficiency;
 pub mod hierarchy;
 pub mod monitor;
 pub mod policy;
+pub mod provenance;
 
 pub use badness::{cluster_badness, node_badness, BadnessCoefficients};
 pub use bandwidth::BandwidthEstimator;

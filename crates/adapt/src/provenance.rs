@@ -8,8 +8,8 @@
 //! regression test asserts that a whole scenario-5 decision log comes
 //! back `==` from the JSONL stream alone.
 
-use sagrid_adapt::coordinator::LearnedRequirements;
-use sagrid_adapt::{Decision, DecisionLogEntry, NodeBadnessRecord};
+use crate::coordinator::LearnedRequirements;
+use crate::{Decision, DecisionLogEntry, NodeBadnessRecord};
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::json::{u64_array, write_f64, JsonValue};
 use sagrid_core::metrics::{MetricEvent, Value};

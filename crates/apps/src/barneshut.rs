@@ -438,7 +438,7 @@ impl BarnesHut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sagrid_runtime::{Runtime, RuntimeConfig};
+    use sagrid_runtime::Runtime;
 
     fn two_body() -> BarnesHut {
         // Equal masses on a circular orbit around their barycentre.
@@ -592,10 +592,10 @@ mod tests {
     fn parallel_step_matches_sequential_bitwise() {
         let mut seq = BarnesHut::plummer(300, 5);
         let acc_seq = seq.step_seq();
-        let rt = Runtime::new(RuntimeConfig::single_cluster(4));
+        let rt = Runtime::new(4);
         let (par, acc_par) = rt.run(move |ctx| {
-            // `run` requires Fn (re-executable); rebuilding the sim per
-            // invocation keeps it pure.
+            // `run` requires Fn; rebuilding the sim inside the job lets it
+            // own its bodies.
             let sim = BarnesHut::plummer(300, 5);
             BarnesHut::step_par(sim, ctx, 16)
         });

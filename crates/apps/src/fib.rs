@@ -33,7 +33,7 @@ pub fn fib_par(ctx: &WorkerCtx<'_>, n: u64, threshold: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sagrid_runtime::{Runtime, RuntimeConfig};
+    use sagrid_runtime::Runtime;
 
     #[test]
     fn sequential_base_cases() {
@@ -45,7 +45,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let rt = Runtime::new(RuntimeConfig::single_cluster(4));
+        let rt = Runtime::new(4);
         for n in [0u64, 1, 5, 18, 24] {
             let expected = fib_seq(n);
             assert_eq!(rt.run(move |ctx| fib_par(ctx, n, 10)), expected, "fib({n})");
@@ -55,7 +55,7 @@ mod tests {
 
     #[test]
     fn threshold_zero_still_correct() {
-        let rt = Runtime::new(RuntimeConfig::single_cluster(2));
+        let rt = Runtime::new(2);
         assert_eq!(rt.run(|ctx| fib_par(ctx, 14, 0)), fib_seq(14));
         rt.shutdown();
     }

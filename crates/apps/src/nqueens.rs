@@ -75,7 +75,7 @@ pub fn nqueens_par_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sagrid_runtime::{Runtime, RuntimeConfig};
+    use sagrid_runtime::Runtime;
 
     /// Known solution counts for N = 0..=10.
     const KNOWN: [u64; 11] = [1, 1, 0, 0, 2, 10, 4, 40, 92, 352, 724];
@@ -89,11 +89,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        // Two emulated clusters of two workers: steals across them pay the
-        // WAN delay.
-        let mut cfg = RuntimeConfig::emulated_grid(2, 2);
-        cfg.wan_latency = std::time::Duration::from_micros(300);
-        let rt = Runtime::new(cfg);
+        let rt = Runtime::new(4);
         for n in [6u32, 8, 9] {
             let expected = nqueens_seq(n);
             assert_eq!(rt.run(move |ctx| nqueens_par(ctx, n, 2)), expected, "n={n}");
@@ -103,14 +99,14 @@ mod tests {
 
     #[test]
     fn spawn_depth_zero_degenerates_to_sequential() {
-        let rt = Runtime::new(RuntimeConfig::single_cluster(2));
+        let rt = Runtime::new(2);
         assert_eq!(rt.run(|ctx| nqueens_par(ctx, 8, 0)), 92);
         rt.shutdown();
     }
 
     #[test]
     fn deep_spawning_still_correct() {
-        let rt = Runtime::new(RuntimeConfig::single_cluster(4));
+        let rt = Runtime::new(4);
         assert_eq!(rt.run(|ctx| nqueens_par(ctx, 8, 8)), 92);
         rt.shutdown();
     }

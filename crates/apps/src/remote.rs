@@ -236,7 +236,7 @@ pub fn frontier(root: RemoteJob, depth: u32) -> Vec<RemoteJob> {
 mod tests {
     use super::*;
     use crate::nqueens::nqueens_seq;
-    use sagrid_runtime::{Runtime, RuntimeConfig};
+    use sagrid_runtime::Runtime;
 
     #[test]
     fn jobs_round_trip_through_the_encoding() {
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn parallel_execution_matches_sequential() {
-        let rt = Runtime::new(RuntimeConfig::single_cluster(2));
+        let rt = Runtime::new(2);
         for job in [
             RemoteJob::Fib {
                 n: 18,

@@ -11,7 +11,7 @@ use sagrid_core::rng::{Rng64, Xoshiro256StarStar};
 use sagrid_core::stats::{MonitoringReport, OverheadBreakdown};
 use sagrid_core::time::{SimDuration, SimTime};
 use sagrid_core::workload::TreeShape;
-use sagrid_runtime::{Runtime, RuntimeConfig};
+use sagrid_runtime::Runtime;
 use sagrid_simnet::{EventQueue, Network};
 use std::hint::black_box;
 
@@ -110,7 +110,7 @@ fn main() {
 
     // The threaded runtime's spawn/steal machinery under a fine-grained
     // spawn tree.
-    let rt = Runtime::new(RuntimeConfig::single_cluster(4));
+    let rt = Runtime::new(4);
     measure("micro/threaded_fib_24_on_4_workers", 1, samples, || {
         black_box(rt.run(|ctx| sagrid_apps::fib_par(ctx, 24, 12)));
     });

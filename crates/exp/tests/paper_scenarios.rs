@@ -12,12 +12,12 @@
 //!   and are never re-added, visible both in the decision log and in the
 //!   join events of the metrics stream.
 
+use sagrid_adapt::provenance::reconstruct_decision;
 use sagrid_adapt::Decision;
 use sagrid_core::ids::ClusterId;
 use sagrid_core::metrics::{parse_json, JsonValue, Metrics};
 use sagrid_core::time::{SimDuration, SimTime};
 use sagrid_exp::scenarios::{Scenario, ScenarioId, DISTURBANCE_AT_SECS, SHAPED_UPLINK_BPS};
-use sagrid_simgrid::provenance::reconstruct_decision;
 use sagrid_simgrid::trace::SpanKind;
 use sagrid_simgrid::{AdaptMode, GridSim, RunResult};
 

@@ -7,9 +7,9 @@
 //! that the discrete-event simulation, the only other driver, ticks.
 //!
 //! Every decision is also emitted as a `"decision"` metric event (via
-//! [`sagrid_simgrid::provenance::decision_event`]), so the JSONL stream
+//! [`sagrid_adapt::provenance::decision_event`]), so the JSONL stream
 //! reconstructs through
-//! [`sagrid_simgrid::provenance::reconstruct_decision`] exactly like a
+//! [`sagrid_adapt::provenance::reconstruct_decision`] exactly like a
 //! DES run's. The daemon round-trips each event through the parser
 //! as it emits it, fails on the first mismatch, and prints
 //! `PROVENANCE_OK n=<entries>` at shutdown. Each event is appended to
@@ -24,6 +24,7 @@
 //! entry before the send would put a sort of every member, plus the
 //! JSON encoding and its self-check, in front of that reaction.
 
+use sagrid_adapt::provenance::{decision_event, reconstruct_decision};
 use sagrid_adapt::{AdaptPolicy, Coordinator, Decision};
 use sagrid_core::json::parse_json;
 use sagrid_core::metrics::{Metrics, Value};
@@ -31,7 +32,6 @@ use sagrid_core::time::{SimDuration, SimTime};
 use sagrid_net::conn::{Connection, NetEvent};
 use sagrid_net::wire::Message;
 use sagrid_net::{Args, Backoff, HubSet};
-use sagrid_simgrid::provenance::{decision_event, reconstruct_decision};
 use std::fs::File;
 use std::io::Write;
 use std::sync::mpsc::{channel, RecvTimeoutError};

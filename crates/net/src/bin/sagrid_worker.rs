@@ -21,12 +21,12 @@
 use sagrid_apps::{frontier, RemoteJob};
 use sagrid_core::ids::{ClusterId, NodeId};
 use sagrid_core::metrics::Metrics;
-use sagrid_core::stats::{MonitoringReport, OverheadBreakdown};
+use sagrid_core::stats::MonitoringReport;
 use sagrid_net::conn::{Connection, NetEvent};
 use sagrid_net::steal::{spawn_steal_server, ExportPool, NetStealHook, StealClient, StealMetrics};
 use sagrid_net::wire::Message;
 use sagrid_net::{Args, Backoff, HubSet};
-use sagrid_runtime::{Runtime, RuntimeConfig};
+use sagrid_runtime::Runtime;
 use std::io::Write;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -251,8 +251,8 @@ fn run() -> Result<(), String> {
     // One local worker thread; the speed knob emulates an overloaded or
     // intrinsically slow machine (it also stretches the benchmark, which is
     // how the coordinator learns the node's relative speed).
-    let rt = Arc::new(Runtime::new(RuntimeConfig::single_cluster(1)));
-    rt.set_worker_speed(0, speed.clamp(0.05, 1.0));
+    let rt = Arc::new(Runtime::new(1));
+    rt.set_speed(speed.clamp(0.05, 1.0));
 
     // Steal-plane metrics live in a process-wide registry dumped to --out
     // JSONL on exit; with stealing off and no --out the registry is free.
@@ -383,9 +383,14 @@ fn run() -> Result<(), String> {
         // Workload thread: bursts of divide-and-conquer work interleaved
         // with sleeps sized so the *measured* busy fraction tracks `duty`.
         // The sleep multiplier is steered by a feedback loop below, because
-        // the runtime's accounting does not attribute every idle
-        // microsecond (steal-scan time is unaccounted), so an open-loop
-        // ratio would overshoot the target.
+        // the breakdown's busy fraction is not the burst-to-sleep ratio:
+        // the benchmark runs on the same worker, and a burst's wall time
+        // includes the wait for the worker to pick its root job up. An
+        // open-loop ratio would miss the target. A burst is fib(28), about
+        // 2 ms at full speed: it must be long against the ~100 µs hand-off
+        // around it, or the hand-off caps the measured busy fraction (near
+        // 0.5 for a 150 µs fib(22), however short the sleeps) below an
+        // expanding scenario's 0.8 duty.
         let rt = Arc::clone(&rt);
         let stop = Arc::clone(&stop);
         let sleep_factor = Arc::clone(&sleep_factor);
@@ -394,7 +399,7 @@ fn run() -> Result<(), String> {
             .spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     let t0 = Instant::now();
-                    let _ = rt.run(|ctx| sagrid_apps::fib_par(ctx, 22, 12));
+                    let _ = rt.run(|ctx| sagrid_apps::fib_par(ctx, 28, 12));
                     let busy = t0.elapsed();
                     let f = *sleep_factor.lock().expect("sleep factor");
                     // Cap so a leave signal is still honoured promptly, but
@@ -417,7 +422,7 @@ fn run() -> Result<(), String> {
             .name("worker-bench".to_string())
             .spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    if let Some(d) = rt.benchmark_worker(0) {
+                    if let Some(d) = rt.benchmark() {
                         bench_micros.store((d.as_micros() as u64).max(1), Ordering::Release);
                     }
                     std::thread::sleep(period);
@@ -524,7 +529,7 @@ fn run() -> Result<(), String> {
                     // benchmark probe, so the coordinator's speed tracker
                     // sees the change within a period or two.
                     if let Some(s) = speed {
-                        rt.set_worker_speed(0, s.clamp(0.05, 1.0));
+                        rt.set_speed(s.clamp(0.05, 1.0));
                     }
                     if let Some(f) = inter_frac {
                         synth_inter = f.clamp(0.0, 0.95);
@@ -580,14 +585,7 @@ fn run() -> Result<(), String> {
         if last_report.elapsed() >= period {
             last_report = Instant::now();
             let bench = bench_micros.load(Ordering::Acquire);
-            let mut breakdown = OverheadBreakdown::default();
-            for (r, _) in rt.take_monitoring_reports() {
-                breakdown.busy += r.breakdown.busy;
-                breakdown.idle += r.breakdown.idle;
-                breakdown.intra_comm += r.breakdown.intra_comm;
-                breakdown.inter_comm += r.breakdown.inter_comm;
-                breakdown.benchmark += r.breakdown.benchmark;
-            }
+            let mut breakdown = rt.take_breakdown();
             if synth_inter > 0.0 {
                 // Reclassify idle time as inter-cluster wait: the busy
                 // fraction (and thus the efficiency term) stays put while

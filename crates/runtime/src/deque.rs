@@ -6,8 +6,8 @@
 //! runtime relies on: the owner pushes and pops LIFO at the back of its deque
 //! (depth-first execution keeps the working set small), thieves and the
 //! global injector take FIFO from the front (stealing the biggest subtrees).
-//! Contention on these locks is bounded by the steal rate, which the runtime
-//! already throttles with emulated network latency.
+//! Contention on these locks is bounded by the steal rate: an idle worker
+//! tries one sibling per sweep and parks between sweeps.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

@@ -1,45 +1,30 @@
 //! Spawned-task records.
 //!
-//! Every `spawn` creates a `Job` holding the (pure, re-executable)
-//! closure, a result slot, and a *holder* tag recording which worker
-//! currently has the job in its deque or under execution. The holder tag is
-//! the whole fault-tolerance story: a joiner that finds its job held by a
-//! dead worker simply re-executes the closure inline — a simplified form of
-//! Satin's orphan recomputation (Wrzesinska et al., IPDPS 2005), sound
-//! because divide-and-conquer jobs are side-effect-free.
+//! Every `spawn` creates a `Job` holding the closure and a result slot.
+//! Exactly one worker runs it: the owner pops it from its deque, or a
+//! thief steals it. A panic in the closure is caught and stored in the
+//! slot, so the worker thread survives it and the joiner re-raises it.
 
 use crate::worker::WorkerCtx;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
-
-/// Holder tag for a job that is not in any worker's hands (global queue or
-/// not yet queued).
-pub(crate) const NO_HOLDER: usize = usize::MAX;
 
 /// Type-erased view of a job, as stored in deques.
 pub(crate) trait Task: Send + Sync {
-    /// Runs the job (idempotent: completed jobs return immediately; a
-    /// racing duplicate execution is wasted work, never wrong results).
+    /// Runs the job and stores its outcome.
     fn execute(&self, ctx: &WorkerCtx<'_>);
-    /// Whether a result has been stored.
-    fn is_done(&self) -> bool;
-    /// Current holder worker, or [`NO_HOLDER`].
-    fn holder(&self) -> usize;
-    /// Updates the holder tag.
-    fn set_holder(&self, worker: usize);
 }
 
 /// The shared state behind a [`JoinHandle`].
 pub(crate) struct Job<T> {
     func: Box<dyn Fn(&WorkerCtx<'_>) -> T + Send + Sync>,
-    result: Mutex<Option<T>>,
+    /// `None` until the job ran; then its value or its panic payload.
+    result: Mutex<Option<std::thread::Result<T>>>,
+    /// Set (Release) after `result` is filled, so a joiner that reads it
+    /// (Acquire) finds the outcome without waiting on the lock.
     done: AtomicBool,
-    poisoned: AtomicBool,
-    holder: AtomicUsize,
     wake: Condvar,
-    wake_lock: Mutex<()>,
 }
 
 impl<T: Send> Job<T> {
@@ -48,87 +33,42 @@ impl<T: Send> Job<T> {
             func: Box::new(func),
             result: Mutex::new(None),
             done: AtomicBool::new(false),
-            poisoned: AtomicBool::new(false),
-            holder: AtomicUsize::new(NO_HOLDER),
             wake: Condvar::new(),
-            wake_lock: Mutex::new(()),
         })
     }
 
-    fn store_result(&self, value: T) {
-        let mut slot = self.result.lock().expect("result lock poisoned");
-        if slot.is_none() {
-            *slot = Some(value);
-            self.done.store(true, Ordering::Release);
-            drop(slot);
-            let _guard = self.wake_lock.lock().expect("wake lock poisoned");
-            self.wake.notify_all();
-        }
-        // A racing duplicate execution (fault-tolerance re-run that lost the
-        // race against the presumed-dead worker) drops its value: first
-        // result wins, and pure jobs make both values identical anyway.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
     }
 
-    pub(crate) fn take_result(&self) -> Option<T> {
-        self.result.lock().expect("result lock poisoned").take()
+    /// Blocks a non-worker thread until the job has run.
+    pub(crate) fn wait(&self) {
+        let slot = self.result.lock().expect("result lock poisoned");
+        let _slot = self
+            .wake
+            .wait_while(slot, |r| r.is_none())
+            .expect("result lock poisoned");
     }
 
-    /// Whether the job's closure panicked.
-    pub(crate) fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
-    }
-
-    fn mark_poisoned(&self) {
-        self.poisoned.store(true, Ordering::Release);
-        self.done.store(true, Ordering::Release);
-        let _guard = self.wake_lock.lock().expect("wake lock poisoned");
-        self.wake.notify_all();
-    }
-
-    /// Blocks a non-worker thread until the job completes, waking every
-    /// `tick` so the caller can run its lost-job recovery check.
-    pub(crate) fn wait_with_tick(&self, tick: Duration, mut on_tick: impl FnMut()) {
-        while !self.is_done() {
-            {
-                let guard = self.wake_lock.lock().expect("wake lock poisoned");
-                if self.done.load(Ordering::Acquire) {
-                    break;
-                }
-                let _ = self
-                    .wake
-                    .wait_timeout(guard, tick)
-                    .expect("wake lock poisoned");
-            }
-            on_tick();
+    /// The job's value; re-raises its panic on the calling thread. Call
+    /// once, after the job is done.
+    pub(crate) fn take(&self) -> T {
+        let outcome = self.result.lock().expect("result lock poisoned").take();
+        match outcome.expect("a done job holds its outcome until taken") {
+            Ok(value) => value,
+            Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 }
 
 impl<T: Send> Task for Job<T> {
     fn execute(&self, ctx: &WorkerCtx<'_>) {
-        if self.is_done() {
-            return;
-        }
-        self.set_holder(ctx.worker_id());
         // Jobs are user code: a panic must not take the worker thread (and
-        // with it every queued task) down, nor leave joiners hanging — it
-        // is captured and re-thrown at the join point.
-        match std::panic::catch_unwind(AssertUnwindSafe(|| (self.func)(ctx))) {
-            Ok(value) => self.store_result(value),
-            Err(_) => self.mark_poisoned(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    fn holder(&self) -> usize {
-        self.holder.load(Ordering::Acquire)
-    }
-
-    fn set_holder(&self, worker: usize) {
-        self.holder.store(worker, Ordering::Release);
+        // with it every queued task) down, nor leave joiners hanging.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| (self.func)(ctx)));
+        *self.result.lock().expect("result lock poisoned") = Some(outcome);
+        self.done.store(true, Ordering::Release);
+        self.wake.notify_all();
     }
 }
 
@@ -146,37 +86,17 @@ impl<T: Send> JoinHandle<T> {
     }
 
     /// Waits for the job, helping with other work meanwhile, and returns
-    /// its result. If the job was held by a worker that has since crashed
-    /// or left, the joiner re-executes it inline (fault tolerance).
+    /// its result.
     ///
     /// Panics if the job's closure panicked (the panic is propagated to
     /// the joiner, like `std::thread::JoinHandle`).
     pub fn join(self, ctx: &WorkerCtx<'_>) -> T {
-        loop {
-            if self.job.is_done() {
-                if self.job.is_poisoned() {
-                    panic!("divide-and-conquer job panicked");
-                }
-                if let Some(v) = self.job.take_result() {
-                    return v;
-                }
-            }
+        while !self.job.is_done() {
             // Help: run any available task (our own deque first).
-            if ctx.run_one() {
-                continue;
+            if !ctx.run_one() {
+                std::thread::yield_now();
             }
-            // Nothing to run and still not done: is the job lost?
-            let holder = self.job.holder();
-            if holder == ctx.worker_id() || !ctx.is_worker_alive(holder) {
-                // Either nobody will ever run it for us, or it died with a
-                // crashed worker. Re-execute inline.
-                if holder != ctx.worker_id() {
-                    ctx.note_rescue();
-                }
-                self.job.execute(ctx);
-                continue;
-            }
-            std::thread::yield_now();
         }
+        self.job.take()
     }
 }

@@ -1,25 +1,23 @@
 //! # sagrid-runtime
 //!
-//! A Satin-like malleable divide-and-conquer runtime on real threads
-//! (paper §4). Satin is the substrate the paper's adaptation component was
-//! built into: programs are written with spawn/sync primitives, load is
-//! balanced with **cluster-aware random work stealing** (CRS), and the
-//! runtime provides transparent **malleability** (processors can join and
-//! leave an ongoing computation) and **fault tolerance** (work held by a
-//! crashed processor is re-executed).
+//! A Satin-like divide-and-conquer runtime on real threads (paper §4):
+//! programs are written with spawn/sync primitives and a fixed pool of
+//! worker threads balances them by random work stealing. One pool serves
+//! one node. Every `sagrid-worker` process (crate `sagrid-net`) runs one
+//! `Runtime`, and the grid's malleability and fault tolerance live a
+//! level up: processes join, leave and crash, and the steal plane
+//! re-pends a dead thief's jobs.
 //!
-//! Workers are OS threads grouped into emulated "clusters", wide-area
-//! stealing pays an injected latency, and every worker keeps the paper's
-//! overhead statistics (busy / idle / intra- / inter-cluster
-//! communication). [`Runtime::take_monitoring_reports`] hands them out as
-//! monitoring reports; this crate drives no coordinator itself. Each
-//! `sagrid-worker` process (crate `sagrid-net`) runs one `Runtime` and
-//! ships its reports to the `sagrid-coordinatord` daemon, which feeds them
-//! to the same `sagrid_adapt::Coordinator` the discrete-event engine in
-//! `sagrid-simgrid` ticks.
+//! The pool keeps the paper's overhead statistics (busy / idle / intra- /
+//! inter-cluster communication / benchmark) and runs the §3.2 speed
+//! benchmark, both for the node as a whole. [`Runtime::take_breakdown`]
+//! hands the statistics out; this crate drives no coordinator itself.
+//! `sagrid-worker` ships them to the `sagrid-coordinatord` daemon, which
+//! feeds them to the same `sagrid_adapt::Coordinator` the discrete-event
+//! engine in `sagrid-simgrid` ticks.
 //!
 //! ```
-//! use sagrid_runtime::{Runtime, RuntimeConfig, WorkerCtx};
+//! use sagrid_runtime::{Runtime, WorkerCtx};
 //!
 //! fn fib(ctx: &WorkerCtx, n: u64) -> u64 {
 //!     if n < 2 {
@@ -30,7 +28,7 @@
 //!     a.join(ctx) + b
 //! }
 //!
-//! let rt = Runtime::new(RuntimeConfig::single_cluster(4));
+//! let rt = Runtime::new(4);
 //! let result = rt.run(|ctx| fib(ctx, 20));
 //! assert_eq!(result, 6765);
 //! rt.shutdown();
@@ -38,26 +36,22 @@
 //!
 //! Module map:
 //!
-//! * [`config`] — cluster layout, WAN emulation parameters;
-//! * [`job`] — spawned-task records: result slots, ownership state, the
-//!   re-execution machinery behind fault tolerance;
-//! * [`worker`] — the worker loop: local LIFO execution, CRS victim
-//!   selection, statistics attribution, speed emulation, control signals;
-//! * [`runtime`] — the public façade: run jobs, add/remove/crash workers,
-//!   collect monitoring reports, run speed benchmarks.
+//! * [`job`] — spawned-task records: result slots and panic capture;
+//! * [`worker`] — the worker loop: local LIFO execution, random stealing,
+//!   statistics attribution, speed emulation, the speed benchmark;
+//! * [`runtime`] — the public façade: run jobs, set the node's speed,
+//!   take its overhead breakdown, run its speed benchmark.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod config;
 mod deque;
 pub mod job;
 pub mod runtime;
 pub mod worker;
 
-pub use config::{ClusterLayout, RuntimeConfig};
 pub use job::JoinHandle;
-pub use runtime::{Runtime, WorkerId};
+pub use runtime::Runtime;
 pub use worker::{RemoteStealHook, WorkerCtx};
 
 /// Held by the unit tests that time CPU work, so the one that saturates

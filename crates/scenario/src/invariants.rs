@@ -26,8 +26,8 @@
 //!    liveness was unresolved (Suspect) at decision time, and a decision
 //!    that recorded a hold-fire reason decided nothing.
 
+use sagrid_adapt::provenance::reconstruct_decision;
 use sagrid_core::json::{parse_json, JsonValue};
-use sagrid_simgrid::provenance::reconstruct_decision;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 

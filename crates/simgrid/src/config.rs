@@ -101,10 +101,11 @@ pub struct SimConfig {
     /// Record per-node activity traces ([`crate::trace`]). Off by default
     /// (traces cost memory proportional to activity transitions).
     pub record_trace: bool,
-    /// Use the §7 hierarchical coordinator (one sub-coordinator per
-    /// cluster, digests to the main coordinator) instead of the flat one.
-    /// Decisions are identical; the main coordinator receives
-    /// `O(clusters)` messages per period instead of `O(nodes)`.
+    /// Use the §7 hierarchical coordinator
+    /// ([`sagrid_adapt::HierarchicalCoordinator`]) instead of the flat one:
+    /// the members' reports are held in one table and replayed into a
+    /// single flat `Coordinator` at each evaluation. Decisions are
+    /// identical; the efficiency timeline lags the flat one by one period.
     pub hierarchical_coordinator: bool,
     /// Future-event-list implementation for the simulation kernel; `None`
     /// is the timer wheel, the production queue at every grid size. Both

@@ -4,7 +4,8 @@
 //! and the adaptation coordinator, and executes an iterative
 //! divide-and-conquer workload with cluster-aware random work stealing.
 //!
-//! The engine is the DES twin of the threaded `sagrid-runtime`: the steal
+//! The engine is the DES twin of the process-mode grid (`sagrid-net`
+//! workers, each running one threaded `sagrid-runtime` pool): the steal
 //! protocol, the malleability flow (grant → join → steal → leave signal →
 //! queue hand-off → release) and the fault-tolerance flow (crash → detect →
 //! re-inject orphaned tasks) follow the same design, but time is virtual and
@@ -1426,7 +1427,8 @@ impl GridSim {
                 if entry.hold_fire.is_some() {
                     em.holdfire_decisions.inc();
                 }
-                self.metrics.emit(crate::provenance::decision_event(entry));
+                self.metrics
+                    .emit(sagrid_adapt::provenance::decision_event(entry));
             }
             self.decisions.push(entry.clone());
             self.apply_decision(now, decision);
@@ -1878,7 +1880,7 @@ mod tests {
     /// (which `learned` does not hold) included.
     #[test]
     fn run_result_holds_one_entry_per_decision_event() {
-        use crate::provenance::reconstruct_decision;
+        use sagrid_adapt::provenance::reconstruct_decision;
         use sagrid_core::metrics::Metrics;
         for (hierarchical, migration) in [(false, false), (true, false), (false, true)] {
             let mut cfg = base_config();

@@ -23,10 +23,7 @@
 //! * [`result`] — per-run results: iteration durations, decision log, node
 //!   count timeline, overhead accounting;
 //! * [`trace`] — optional per-node activity traces (Gantt-style spans) for
-//!   debugging scenario dynamics;
-//! * [`provenance`] — decision-provenance events: serialising every
-//!   coordinator decision (with its badness inputs and blacklist state) to
-//!   the metrics JSONL stream, and reconstructing decisions back from it.
+//!   debugging scenario dynamics.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -36,7 +33,6 @@ pub mod config;
 pub mod engine;
 pub mod node;
 pub mod peers;
-pub mod provenance;
 pub mod result;
 pub mod trace;
 

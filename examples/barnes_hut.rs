@@ -1,4 +1,4 @@
-//! Barnes-Hut N-body on an emulated two-cluster grid — the paper's
+//! Barnes-Hut N-body on a work-stealing thread pool — the paper's
 //! evaluation workload running for real on the threaded runtime.
 //!
 //! ```sh
@@ -6,9 +6,15 @@
 //! ```
 
 use sagrid::apps::{BarnesHut, Body};
-use sagrid::runtime::{Runtime, RuntimeConfig};
+use sagrid::runtime::Runtime;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Largest relative energy drift the run may show before it fails. Measured
+/// drifts at θ = 0.5 and dt = 1e-3: 8e-7 (500 bodies, 3 iterations),
+/// 2e-6 (4,000 bodies, 10), 3e-5 (500, 100) and 5e-5 (50, 20); the bound
+/// leaves an order of magnitude over the worst of them.
+const MAX_ENERGY_DRIFT: f64 = 1e-3;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -16,18 +22,17 @@ fn main() {
     let iterations: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(10);
 
     println!("Barnes-Hut: {n} Plummer-model bodies, {iterations} iterations");
-    println!("grid: 2 emulated clusters x 2 workers, 2 ms WAN latency\n");
+    println!("pool: 4 worker threads\n");
 
-    let rt = Runtime::new(RuntimeConfig::emulated_grid(2, 2));
+    let rt = Runtime::new(4);
     let mut sim = BarnesHut::plummer(n, 42);
     let e0 = sim.total_energy();
     let p0 = sim.total_momentum();
 
     for it in 0..iterations {
         let t = Instant::now();
-        // Jobs must be pure (re-executable on worker crash), so each
-        // iteration's job captures an immutable snapshot of the bodies and
-        // returns the advanced state.
+        // A job is an `Fn`, so each iteration's job captures an immutable
+        // snapshot of the bodies and returns the advanced state.
         let snapshot: Arc<Vec<Body>> = Arc::new(sim.bodies().to_vec());
         let new_bodies = rt.run(move |ctx| {
             let step_sim = BarnesHut::new(snapshot.as_ref().clone(), 0.5, 1e-3);
@@ -40,7 +45,8 @@ fn main() {
 
     let e1 = sim.total_energy();
     let p1 = sim.total_momentum();
-    println!("\nenergy   drift: {:+.3e} (relative)", (e1 - e0) / e0.abs());
+    let drift = (e1 - e0) / e0.abs();
+    println!("\nenergy   drift: {drift:+.3e} (relative)");
     println!(
         "momentum drift: [{:+.2e} {:+.2e} {:+.2e}]",
         p1[0] - p0[0],
@@ -48,4 +54,8 @@ fn main() {
         p1[2] - p0[2]
     );
     rt.shutdown();
+    assert!(
+        drift.abs() < MAX_ENERGY_DRIFT,
+        "relative energy drift {drift:+.3e} exceeds {MAX_ENERGY_DRIFT:e}"
+    );
 }

@@ -1,17 +1,23 @@
-//! Quickstart: write a divide-and-conquer program, run it on a malleable
-//! work-stealing runtime, and watch workers join and leave mid-computation.
+//! Quickstart: write a divide-and-conquer program and run it on a
+//! work-stealing thread pool.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
+//!
+//! The pool serves one node. Malleability and fault tolerance live a level
+//! up, where whole worker processes join, leave and crash; to watch a
+//! SIGKILLed worker get detected, blacklisted and refused on rejoin, build
+//! the workspace and run
+//! `target/release/grid-local --scenario-file scenarios/node_crash.json`.
 
 use sagrid::apps::{fib_par, fib_seq, nqueens_par, nqueens_seq};
-use sagrid::runtime::{Runtime, RuntimeConfig};
+use sagrid::runtime::Runtime;
 use std::time::Instant;
 
 fn main() {
-    // A pool of 4 workers in one emulated cluster.
-    let rt = Runtime::new(RuntimeConfig::single_cluster(4));
+    // A pool of 4 worker threads.
+    let rt = Runtime::new(4);
 
     // --- Fibonacci: the classic spawn/sync example -----------------------
     let n = 32;
@@ -26,41 +32,12 @@ fn main() {
     println!("  sequential: {seq_time:?}");
     println!("  4 workers:  {par_time:?}");
 
-    // --- Malleability: grow the pool while work is queued ----------------
-    println!("\nadding 4 more workers (the computation is malleable)…");
-    for _ in 0..4 {
-        rt.add_worker(0);
-    }
-    let t = Instant::now();
-    let par8 = rt.run(move |ctx| fib_par(ctx, n, 16));
-    println!(
-        "  8 workers:  {:?} (same answer: {})",
-        t.elapsed(),
-        par8 == seq
-    );
-
     // --- N-queens: irregular search --------------------------------------
     let q = 12;
     let t = Instant::now();
     let solutions = rt.run(move |ctx| nqueens_par(ctx, q, 3));
     println!("\n{q}-queens has {solutions} solutions ({:?})", t.elapsed());
     assert_eq!(solutions, nqueens_seq(q));
-
-    // --- Fault tolerance: crash half the pool mid-run --------------------
-    println!("\ncrashing 4 of 8 workers mid-computation…");
-    let result = std::thread::scope(|s| {
-        s.spawn(|| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            for id in rt.alive_workers().into_iter().take(4) {
-                rt.crash_worker(id);
-            }
-        });
-        rt.run(move |ctx| fib_par(ctx, n, 16))
-    });
-    println!(
-        "  survivors still computed fib({n}) = {result} (correct: {})",
-        result == seq
-    );
 
     rt.shutdown();
 }

@@ -44,6 +44,14 @@ cargo build --workspace --release
 echo "== test =="
 cargo test --workspace -q
 
+echo "== examples (smoke) =="
+# The examples assert their own results: quickstart checks the parallel
+# fib and n-queens answers against the sequential ones, and barnes_hut
+# fails if the relative energy drift passes its bound (1e-3; 500 bodies
+# over 3 steps measure about 1e-6). A non-zero exit stops the gate.
+cargo run -q --release --example quickstart
+cargo run -q --release --example barnes_hut -- 500 3
+
 echo "== doc tests =="
 cargo test --workspace -q --doc
 

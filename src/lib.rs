@@ -11,8 +11,8 @@
 //! * [`adapt`] — **the paper's contribution**: weighted average
 //!   efficiency, node/cluster badness, monitoring, and the adaptation
 //!   coordinator;
-//! * [`runtime`] — a Satin-like malleable work-stealing
-//!   divide-and-conquer runtime (real threads);
+//! * [`runtime`] — a Satin-like work-stealing divide-and-conquer
+//!   runtime: one node's fixed pool of real threads;
 //! * [`simgrid`] — a deterministic discrete-event grid
 //!   emulation at DAS-2 scale, driving the same adaptation coordinator;
 //! * [`simnet`] — the discrete-event kernel and WAN model;
